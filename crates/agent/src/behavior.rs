@@ -70,22 +70,30 @@ pub trait AgentBehavior: Wire + Send + 'static {
         env: &mut AgentEnv<'_>,
     ) -> Action;
 
-    /// The host's knowledge horizon — for each packed
-    /// `key << 16 | server` slot, the highest locking-list snapshot
-    /// version the host has seen for that object key at that server
-    /// (key-0 slots coincide with bare server ids, keeping single-key
-    /// deployments byte-identical). Piggybacked on every
-    /// [`AgentEnvelope::MigrateAck`] this host sends, so peers can
-    /// delta-encode future agent state shipped to it. The default (no
-    /// horizon tracking) keeps non-MARP behaviours unaffected.
-    fn host_horizon(_host: &Self::Host) -> BTreeMap<u64, u64> {
+    /// The host's knowledge horizon for this agent's object key: for
+    /// each server, the highest locking-list snapshot version the host
+    /// has seen for that key there. Runs on the destination once the
+    /// arriving state has decoded, and is piggybacked on the
+    /// [`AgentEnvelope::MigrateAck`] it sends back, so the sender can
+    /// delta-encode the next agent for the same key it ships here. The
+    /// default (no horizon tracking) keeps non-MARP behaviours
+    /// unaffected.
+    fn host_horizon(&self, _host: &Self::Host) -> BTreeMap<NodeId, u64> {
         BTreeMap::new()
     }
 
     /// A [`AgentEnvelope::MigrateAck`] from `peer` advertised its
-    /// knowledge horizon; record it in the local host so agents
-    /// migrating from here can shrink their carried state.
-    fn record_peer_horizon(_host: &mut Self::Host, _peer: NodeId, _horizon: BTreeMap<u64, u64>) {}
+    /// knowledge horizon for this agent's key; record it in the local
+    /// host so agents for the same key migrating from here can shrink
+    /// their carried state. Runs on the sender, through the behaviour
+    /// still awaiting that ack.
+    fn record_peer_horizon(
+        &self,
+        _host: &mut Self::Host,
+        _peer: NodeId,
+        _horizon: BTreeMap<NodeId, u64>,
+    ) {
+    }
 
     /// About to serialize and ship this agent to `dest`: last chance to
     /// shed state the destination already knows (delta-encoded Locking

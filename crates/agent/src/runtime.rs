@@ -140,11 +140,15 @@ impl<B: AgentBehavior> AgentRuntime<B> {
                 hop,
                 horizon,
             } => {
-                // The ack advertises the destination's knowledge horizon;
-                // remember it so the *next* agent migrating there from
-                // here can delta-encode its carried state.
-                B::record_peer_horizon(host, from, horizon);
-                if self.outbound.get(&agent).is_some_and(|out| out.hop == hop) {
+                // The ack advertises the destination's knowledge horizon
+                // for the agent's key; the behaviour awaiting it records
+                // it so the *next* agent for that key migrating there
+                // from here can delta-encode its carried state.
+                let Some(out) = self.outbound.get(&agent) else {
+                    return;
+                };
+                out.behavior.record_peer_horizon(host, from, horizon);
+                if out.hop == hop {
                     let out = self.outbound.remove(&agent).expect("checked");
                     self.migrate_timers.remove(&out.timer);
                     ctx.cancel_timer(out.timer);
@@ -210,28 +214,32 @@ impl<B: AgentBehavior> AgentRuntime<B> {
         host: &mut B::Host,
         ctx: &mut dyn Context,
     ) {
-        // Always (re-)ack so a retry caused by a lost ack terminates.
+        // Always (re-)ack so a retry caused by a lost ack terminates —
+        // duplicates and corrupt arrivals included. The decoded
+        // behaviour supplies the horizon; corrupt state gets none.
+        let decoded = marp_wire::from_bytes::<B>(&state);
+        let horizon = decoded
+            .as_ref()
+            .map(|behavior| behavior.host_horizon(host))
+            .unwrap_or_default();
         let ack = (self.wrap)(AgentEnvelope::MigrateAck {
             agent,
             hop,
-            horizon: B::host_horizon(host),
+            horizon,
         });
         ctx.send(from, ack);
         if !self.seen_migrations.insert((agent, hop)) {
             return; // duplicate delivery of a retried migration
         }
-        let behavior = match marp_wire::from_bytes::<B>(&state) {
-            Ok(b) => b,
-            Err(_) => {
-                // Corrupt state should be impossible (reliable channels);
-                // record and drop rather than crash the server.
-                ctx.trace(TraceEvent::Custom {
-                    kind: "agent-state-corrupt",
-                    a: agent.key(),
-                    b: u64::from(from),
-                });
-                return;
-            }
+        let Ok(behavior) = decoded else {
+            // Corrupt state should be impossible (reliable channels);
+            // record and drop rather than crash the server.
+            ctx.trace(TraceEvent::Custom {
+                kind: "agent-state-corrupt",
+                a: agent.key(),
+                b: u64::from(from),
+            });
+            return;
         };
         debug_assert_eq!(behavior.id(), agent, "envelope/state identity mismatch");
         ctx.trace(TraceEvent::AgentMigrated {

@@ -12,6 +12,7 @@ use marp_sim::{
     TraceEvent, TraceLevel,
 };
 use marp_wire::{Wire, WireError};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A toy agent that walks a fixed itinerary, stamping each host's
@@ -52,6 +53,8 @@ impl Wire for Hopper {
 struct GuestBook {
     stamps: Vec<u64>,
     pokes: Vec<Bytes>,
+    /// Horizons recorded from migration acks, by acking peer.
+    horizons: Vec<(NodeId, BTreeMap<NodeId, u64>)>,
 }
 
 impl Hopper {
@@ -101,6 +104,20 @@ impl AgentBehavior for Hopper {
         self.skipped.push(dest);
         self.route.retain(|&n| n != dest);
         self.next_action(env)
+    }
+
+    /// Advertise how many stamps the host's book holds.
+    fn host_horizon(&self, host: &GuestBook) -> BTreeMap<NodeId, u64> {
+        BTreeMap::from([(7, host.stamps.len() as u64)])
+    }
+
+    fn record_peer_horizon(
+        &self,
+        host: &mut GuestBook,
+        peer: NodeId,
+        horizon: BTreeMap<NodeId, u64>,
+    ) {
+        host.horizons.push((peer, horizon));
     }
 }
 
@@ -588,6 +605,98 @@ fn migration_dedup_survives_crash_recovery() {
     runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
     assert_eq!(book.stamps.len(), 1, "duplicate after recovery is deduped");
     assert_eq!(ctx.sent.len(), 2, "but the duplicate is still re-acked");
+}
+
+/// The horizon carried by the `i`-th message `ctx` sent, which must be
+/// a migration ack.
+fn ack_horizon(ctx: &RecCtx, i: usize) -> BTreeMap<NodeId, u64> {
+    match marp_wire::from_bytes::<AgentEnvelope>(&ctx.sent[i].1) {
+        Ok(AgentEnvelope::MigrateAck { horizon, .. }) => horizon,
+        other => panic!("expected a migration ack, got {other:?}"),
+    }
+}
+
+#[test]
+fn duplicate_and_corrupt_migrations_are_still_acked() {
+    // The runtime decodes the arriving state before building the ack
+    // (the decoded behaviour supplies the horizon), yet every arrival
+    // must still be acked so the sender's retries terminate.
+    let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let mut ctx = RecCtx::default();
+    let agent = AgentId::new(0, SimTime::ZERO, 0);
+    let hopper = Hopper {
+        id: agent,
+        route: vec![],
+        stamped: vec![],
+        skipped: vec![],
+    };
+    let migrate = AgentEnvelope::Migrate {
+        agent,
+        hop: 1,
+        state: marp_wire::to_bytes(&hopper),
+    };
+    runtime.handle_envelope(0, migrate.clone(), &mut book, &mut ctx);
+    assert_eq!(ctx.sent.len(), 1);
+    assert_eq!(ack_horizon(&ctx, 0), BTreeMap::from([(7, 0)]));
+
+    // A duplicate runs nothing but is acked with the decoded agent's
+    // horizon (the first arrival stamped the book).
+    runtime.handle_envelope(0, migrate, &mut book, &mut ctx);
+    assert_eq!(book.stamps.len(), 1);
+    assert_eq!(ctx.sent.len(), 2);
+    assert_eq!(ack_horizon(&ctx, 1), BTreeMap::from([(7, 1)]));
+
+    // Corrupt state is dropped loudly, and acked with an empty horizon.
+    let corrupt = AgentEnvelope::Migrate {
+        agent: AgentId::new(0, SimTime::ZERO, 1),
+        hop: 1,
+        state: Bytes::new(),
+    };
+    runtime.handle_envelope(0, corrupt, &mut book, &mut ctx);
+    assert_eq!(ctx.sent.len(), 3);
+    assert!(ack_horizon(&ctx, 2).is_empty());
+    assert_eq!(runtime.resident_count(), 0);
+    assert!(ctx.traces.iter().any(|e| matches!(
+        e,
+        TraceEvent::Custom {
+            kind: "agent-state-corrupt",
+            ..
+        }
+    )));
+}
+
+#[test]
+fn acks_are_recorded_only_while_their_migration_is_outbound() {
+    let mut runtime: AgentRuntime<Hopper> = AgentRuntime::new(AgentConfig::default(), wrap);
+    let mut book = GuestBook::default();
+    let mut ctx = RecCtx::default();
+    let agent = AgentId::new(1, SimTime::ZERO, 0);
+    // Spawned at node 1, the hopper leaves for node 2 at once.
+    runtime.spawn(
+        Hopper {
+            id: agent,
+            route: vec![2],
+            stamped: vec![],
+            skipped: vec![],
+        },
+        &mut book,
+        &mut ctx,
+    );
+    assert_eq!(runtime.in_flight(), 1);
+    let ack = AgentEnvelope::MigrateAck {
+        agent,
+        hop: 1,
+        horizon: BTreeMap::from([(2, 9)]),
+    };
+    runtime.handle_envelope(2, ack.clone(), &mut book, &mut ctx);
+    assert_eq!(runtime.in_flight(), 0);
+    assert_eq!(book.horizons, vec![(2, BTreeMap::from([(2, 9)]))]);
+
+    // A late duplicate of the ack finds no outbound entry: nothing is
+    // recorded.
+    runtime.handle_envelope(2, ack, &mut book, &mut ctx);
+    assert_eq!(book.horizons.len(), 1);
 }
 
 #[test]

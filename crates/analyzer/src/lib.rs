@@ -1,10 +1,11 @@
 //! `marp-analyzer`: protocol-aware static analysis for the MARP
 //! workspace, over a handwritten, dependency-free Rust token model.
 //!
-//! Two entry points, both also exposed through `xtask`:
+//! Two entry points, both exposed as `marp-analyze lint` and
+//! `marp-analyze analyze`:
 //!
-//! * [`run_lint`] — the sans-io lint set (formerly regex scans in
-//!   `xtask`), re-ported onto the token model.
+//! * [`run_lint`] — the sans-io lint set (formerly regex scans),
+//!   re-ported onto the token model.
 //! * [`run_analyze`] — the five protocol passes: wire symmetry, handler
 //!   exhaustiveness, timer-tag registry, span balance, lease discipline.
 //!
@@ -133,7 +134,7 @@ pub fn render(findings: &[Finding]) -> String {
     msg
 }
 
-/// Workspace root for the analyzer binary / xtask: two levels above the
+/// Workspace root for the analyzer binary: two levels above the
 /// invoking crate's manifest dir.
 pub fn workspace_root_from(manifest_dir: &str) -> PathBuf {
     let manifest = PathBuf::from(manifest_dir);

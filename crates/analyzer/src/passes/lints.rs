@@ -1,6 +1,6 @@
-//! Token-aware ports of the sans-io lint set that `xtask lint` used to
-//! run as regex scans. Same rules, same crate scoping, same output
-//! shape — but matched on the token model, so string literals, doc
+//! Token-aware ports of the sans-io lint set, which began as regex
+//! scans. Same rules, same crate scoping, same output shape — but
+//! matched on the token model, so string literals, doc
 //! comments, and `#[cfg(test)]` code (including `use` statements inside
 //! test modules) can no longer produce false positives, and the
 //! `set_timer` forwarding-wrapper case that needed an allowlist entry
@@ -28,7 +28,7 @@ pub const SANS_IO_CRATES: &[&str] = &[
 pub const EXHAUSTIVE_MATCH_CRATES: &[&str] = &["crates/obs"];
 
 /// Run the lint set. Returns the findings and the number of files
-/// scanned (for the `xtask lint: N files clean` summary).
+/// scanned (for the `marp-analyze lint` summary).
 pub fn check(ws: &Workspace) -> (Vec<Finding>, usize) {
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;

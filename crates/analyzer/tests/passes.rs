@@ -101,7 +101,7 @@ fn lease_passes_fire_on_fixture() {
 
 /// The golden run: the real tree, all five passes plus the lint set,
 /// zero findings after the allowlist. This is exactly what the CI lint
-/// job executes via `xtask lint && xtask analyze`.
+/// job executes via `marp-analyze lint && marp-analyze analyze`.
 #[test]
 fn clean_tree_produces_zero_findings() {
     let root = marp_analyzer::workspace_root_from(env!("CARGO_MANIFEST_DIR"));

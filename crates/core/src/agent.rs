@@ -709,12 +709,17 @@ impl AgentBehavior for UpdateAgent {
         self.evaluate(host, env)
     }
 
-    fn host_horizon(host: &MarpServerState) -> BTreeMap<u64, u64> {
-        host.horizon()
+    fn host_horizon(&self, host: &MarpServerState) -> BTreeMap<NodeId, u64> {
+        host.horizon(self.key())
     }
 
-    fn record_peer_horizon(host: &mut MarpServerState, peer: NodeId, horizon: BTreeMap<u64, u64>) {
-        host.record_peer_horizon(peer, horizon);
+    fn record_peer_horizon(
+        &self,
+        host: &mut MarpServerState,
+        peer: NodeId,
+        horizon: BTreeMap<NodeId, u64>,
+    ) {
+        host.record_peer_horizon(peer, self.key(), horizon);
     }
 
     fn before_migrate(&mut self, dest: NodeId, host: &mut MarpServerState) {
@@ -732,9 +737,8 @@ impl AgentBehavior for UpdateAgent {
         // crashed and lost its board) costs at most a re-gather round;
         // safety rests on the UPDATE validation quorum, not the LT.
         if self.gossip {
-            if let Some(packed) = host.peer_horizon(dest) {
-                let h = crate::lt::horizon_for_key(packed, self.key());
-                self.lt.prune_covered_by(&h);
+            if let Some(horizon) = host.peer_horizon(dest, self.key()) {
+                self.lt.prune_covered_by(horizon);
             }
         }
         // The UAL is a cache of the servers' Updated Lists, which the
@@ -806,6 +810,53 @@ mod tests {
         let bytes = marp_wire::to_bytes(&a);
         let back: UpdateAgent = marp_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, a);
+    }
+
+    fn server(me: NodeId) -> MarpServerState {
+        let topo = marp_net::Topology::uniform_lan(5, Duration::from_millis(2));
+        MarpServerState::new(
+            marp_replica::ServerCore::keyed(
+                me,
+                marp_replica::ServerConfig::default(),
+                crate::msg::wrap_sync,
+            ),
+            marp_net::RoutingTable::from_topology(me, &topo),
+            &MarpConfig::new(5),
+        )
+    }
+
+    fn snap(version: u64, queue: Vec<AgentId>) -> marp_replica::LlSnapshot {
+        marp_replica::LlSnapshot {
+            version,
+            taken_at: SimTime::from_millis(version),
+            queue,
+        }
+    }
+
+    #[test]
+    fn agent_with_a_key_above_2_pow_48_is_pruned() {
+        let key = 1u64 << 48;
+        let mut a = agent();
+        a.rl[0].key = key;
+        let me = a.id;
+        a.lt.merge(2, snap(3, vec![me]));
+        a.lt.merge(3, snap(5, vec![me]));
+        // The destination (node 1) already knows server 2 at version 3
+        // for this key, but only version 4 of server 3.
+        let mut dest = server(1);
+        let mut known = LockingTable::new();
+        known.merge(2, snap(3, vec![me]));
+        known.merge(3, snap(4, vec![me]));
+        dest.deposit_gossip(key, &known);
+        // Its ack's horizon, recorded at the source (node 0).
+        let mut source = server(0);
+        let horizon = a.host_horizon(&dest);
+        a.record_peer_horizon(&mut source, 1, horizon);
+        assert!(source.peer_horizon(1, 0).is_none());
+
+        a.before_migrate(1, &mut source);
+        assert!(a.lt.snapshot(2).is_none(), "covered entry travelled");
+        assert_eq!(a.lt.snapshot(3).map(|s| s.version), Some(5));
     }
 
     #[test]

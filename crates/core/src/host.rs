@@ -4,7 +4,7 @@
 
 use crate::config::{ChaosMode, MarpConfig};
 use crate::gossip::GossipBoard;
-use crate::lt::{pack_horizon_slot, LockingTable, MAX_HORIZON_KEY};
+use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
@@ -42,11 +42,11 @@ pub struct MarpServerState {
     /// reservation.
     reserved: BTreeMap<u64, (AgentId, SimTime)>,
     chaos: ChaosMode,
-    /// Last knowledge horizon advertised by each peer (piggybacked on
-    /// its migration acks), as packed `key << 16 | server` slots.
-    /// Agents migrating from here delta-encode their Locking Tables
-    /// against the destination's entry for their key.
-    peer_horizons: BTreeMap<NodeId, BTreeMap<u64, u64>>,
+    /// Last knowledge horizon each peer advertised per object key
+    /// (piggybacked on its acks of migrations for that key). Agents
+    /// migrating from here delta-encode their Locking Tables against
+    /// the destination's entry for their key.
+    peer_horizons: BTreeMap<(NodeId, u64), BTreeMap<NodeId, u64>>,
     /// Incarnation fence per client request: the highest incarnation
     /// this server positively acked for each request it has seen, plus
     /// when (for pruning). A regenerated agent carries a bumped
@@ -71,59 +71,34 @@ impl MarpServerState {
         }
     }
 
-    /// This server's knowledge horizon: the highest locking-list
-    /// snapshot version it holds per `(key, server)` packed slot — its
-    /// own live lock table plus everything on the gossip board.
-    /// Advertised in migration acks so senders can delta-encode agent
-    /// state shipped here. The key-0 slot for this server is always
-    /// present (even while virgin), matching the pre-keyspace format
-    /// byte-for-byte in single-key deployments.
-    pub fn horizon(&self) -> BTreeMap<u64, u64> {
-        let mut horizon = BTreeMap::new();
-        let me = self.core.me();
-        if self.gossip_enabled {
-            for key in self.board.keys() {
-                if key > MAX_HORIZON_KEY {
-                    continue;
-                }
-                let Some(table) = self.board.contents(key) else {
-                    continue;
-                };
-                for (server, version) in table.horizon() {
-                    let slot = pack_horizon_slot(key, server);
-                    horizon
-                        .entry(slot)
-                        .and_modify(|v: &mut u64| *v = (*v).max(version))
-                        .or_insert(version);
-                }
-            }
-        }
-        let mut own_keys: Vec<u64> = self
-            .core
-            .ll
-            .keys()
-            .filter(|&k| k != 0 && k <= MAX_HORIZON_KEY)
-            .collect();
-        own_keys.push(0);
-        for key in own_keys {
-            let own = self.core.ll.version(key);
-            horizon
-                .entry(pack_horizon_slot(key, me))
-                .and_modify(|v| *v = (*v).max(own))
-                .or_insert(own);
-        }
+    /// This server's knowledge horizon for object key `key`: the
+    /// highest locking-list snapshot version it holds per server — its
+    /// gossip-board table for the key plus its own live Locking List
+    /// (always present, even while virgin). Advertised in acks of
+    /// migrations for `key` so senders can delta-encode agent state
+    /// shipped here.
+    pub fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
+        let mut horizon = match self.board.contents(key) {
+            Some(table) if self.gossip_enabled => table.horizon(),
+            _ => BTreeMap::new(),
+        };
+        let own = self.core.ll.version(key);
+        horizon
+            .entry(self.core.me())
+            .and_modify(|v| *v = (*v).max(own))
+            .or_insert(own);
         horizon
     }
 
-    /// Record the knowledge horizon a peer advertised in a migration
-    /// ack.
-    pub fn record_peer_horizon(&mut self, peer: NodeId, horizon: BTreeMap<u64, u64>) {
-        self.peer_horizons.insert(peer, horizon);
+    /// Record the knowledge horizon for `key` a peer advertised in a
+    /// migration ack.
+    pub fn record_peer_horizon(&mut self, peer: NodeId, key: u64, horizon: BTreeMap<NodeId, u64>) {
+        self.peer_horizons.insert((peer, key), horizon);
     }
 
-    /// The last (packed) horizon `peer` advertised, if any.
-    pub fn peer_horizon(&self, peer: NodeId) -> Option<&BTreeMap<u64, u64>> {
-        self.peer_horizons.get(&peer)
+    /// The last horizon for `key` that `peer` advertised, if any.
+    pub fn peer_horizon(&self, peer: NodeId, key: u64) -> Option<&BTreeMap<NodeId, u64>> {
+        self.peer_horizons.get(&(peer, key))
     }
 
     /// Whether gossip boards are enabled (E10 ablation).
@@ -787,5 +762,39 @@ mod tests {
                 ..
             } if b & 0xff == 6
         )));
+    }
+
+    #[test]
+    fn horizon_covers_only_the_asked_key() {
+        let mut state = state();
+        let a = aid(1, 1);
+        // 64 keys on the board, each with a snapshot from every server.
+        for key in 0..64u64 {
+            let mut table = LockingTable::new();
+            for server in 0..3 {
+                table.merge(
+                    server,
+                    LlSnapshot {
+                        version: key + u64::from(server),
+                        taken_at: SimTime::from_millis(1),
+                        queue: vec![a],
+                    },
+                );
+            }
+            state.deposit_gossip(key, &table);
+        }
+        for key in 0..64u64 {
+            let horizon = state.horizon(key);
+            assert!(horizon.len() <= 3, "key {key}: {horizon:?}");
+            assert_eq!(horizon[&1], key + 1);
+            assert_eq!(horizon[&2], key + 2);
+        }
+        // The own entry comes from the live LL, even for a key absent
+        // from the board or never queued for.
+        state.visit(a, 100, SimTime::from_millis(2), 0);
+        let own = state.core.ll.version(100);
+        assert!(own > 0);
+        assert_eq!(state.horizon(100), BTreeMap::from([(0, own)]));
+        assert_eq!(state.horizon(999), BTreeMap::from([(0, 0)]));
     }
 }

@@ -435,7 +435,9 @@ mod tests {
             key: 6,
             reply_to: 2,
         });
-        roundtrip(NodeMsg::Sync(SyncMsg::Pull { from_version: 0 }));
+        roundtrip(NodeMsg::Sync(SyncMsg::Pull {
+            versions: std::collections::BTreeMap::from([(0, 0)]),
+        }));
         roundtrip(NodeMsg::RAgent(AgentEnvelope::MigrateAck {
             agent: aid(4),
             hop: 1,
@@ -490,10 +492,12 @@ mod tests {
 
     #[test]
     fn wrappers_produce_decodable_node_msgs() {
-        let wrapped = wrap_sync(SyncMsg::Pull { from_version: 3 });
+        let wrapped = wrap_sync(SyncMsg::Pull {
+            versions: std::collections::BTreeMap::new(),
+        });
         assert!(matches!(
             marp_wire::from_bytes::<NodeMsg>(&wrapped).unwrap(),
-            NodeMsg::Sync(SyncMsg::Pull { from_version: 3 })
+            NodeMsg::Sync(SyncMsg::Pull { versions }) if versions.is_empty()
         ));
         let wrapped = wrap_client_request(ClientRequest {
             id: 4,

@@ -20,18 +20,21 @@
 //! independently (lease refreshes re-stamp without re-versioning).
 
 use marp_agent::AgentId;
-use marp_core::lt::{horizon_for_key, pack_horizon_slot, unpack_horizon_slot, LockingTable};
-use marp_replica::LlSnapshot;
+use marp_core::lt::LockingTable;
+use marp_core::{wrap_sync, MarpConfig, MarpServerState};
+use marp_net::{RoutingTable, Topology};
+use marp_replica::{LlSnapshot, ServerConfig, ServerCore};
 use marp_sim::{NodeId, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::time::Duration;
 
 const SERVERS: NodeId = 5;
 
-/// The keys of the multi-key properties. Key 0 is deliberately
-/// included: its packed horizon slots are numerically bare server ids
-/// (the single-key byte-identity invariant).
+/// The keys of the multi-key property.
 const KEYS: [u64; 3] = [0, 1, 7];
+
+/// The receiving server of the multi-key property.
+const ME: NodeId = 0;
 
 /// The queue a server's LL held at a given version — deterministic, so
 /// equal versions always mean equal queues (the protocol's invariant).
@@ -80,29 +83,36 @@ fn arb_table_pair() -> impl Strategy<Value = (LockingTable, LockingTable)> {
 }
 
 /// A table pair per object key — each key's Locking Table evolves
-/// independently (agents are key-uniform), but hosts advertise ONE
-/// packed horizon over all keys.
+/// independently (agents are key-uniform). The receiver's own entry is
+/// left out: a migrating agent drops it before pruning (obligation 2).
 fn arb_keyed_table_pairs() -> impl Strategy<Value = Vec<(u64, LockingTable, LockingTable)>> {
     proptest::collection::vec(arb_table_pair(), KEYS.len()).prop_map(|pairs| {
         KEYS.iter()
             .copied()
             .zip(pairs)
-            .map(|(key, (s, r))| (key, s, r))
+            .map(|(key, (mut s, mut r))| {
+                s.drop_server(ME);
+                r.drop_server(ME);
+                (key, s, r)
+            })
             .collect()
     })
 }
 
-/// A host's packed knowledge horizon over every key it has chains for:
-/// slot `key << 16 | server` → snapshot version (what
-/// `HostState::horizon()` broadcasts in `MigrateAck`).
-fn packed_horizon(tables: &[(u64, LockingTable, LockingTable)]) -> BTreeMap<u64, u64> {
-    let mut packed = BTreeMap::new();
+/// A MARP server (node [`ME`], keyed store, gossip on) whose board
+/// holds each key's receiver table.
+fn server_with_board(tables: &[(u64, LockingTable, LockingTable)]) -> MarpServerState {
+    let n = usize::from(SERVERS);
+    let topo = Topology::uniform_lan(n, Duration::from_millis(2));
+    let mut state = MarpServerState::new(
+        ServerCore::keyed(ME, ServerConfig::default(), wrap_sync),
+        RoutingTable::from_topology(ME, &topo),
+        &MarpConfig::new(n),
+    );
     for (key, _, receiver) in tables {
-        for (server, version) in receiver.horizon() {
-            packed.insert(pack_horizon_slot(*key, server), version);
-        }
+        state.board.deposit(*key, receiver);
     }
-    packed
+    state
 }
 
 /// The protocol-relevant projection of a table: version and queue per
@@ -201,16 +211,16 @@ proptest! {
         prop_assert_eq!(marp_wire::from_bytes::<LockingTable>(&bytes).unwrap(), sender);
     }
 
-    /// Multi-key obligation 1: each key's agent prunes against the
-    /// per-key projection of the host's single packed horizon, and for
-    /// every key the delta merge matches the full merge — other keys'
-    /// slots never cover (and so never wrongly prune) this key's
-    /// entries.
+    /// Multi-key obligation 1: one server holds every key's table on
+    /// its board, and an agent for key `k` prunes against that server's
+    /// `horizon(k)`. For every key the delta merge matches the full
+    /// merge — other keys' tables never cover (and so never wrongly
+    /// prune) this key's entries.
     #[test]
     fn per_key_delta_merge_equals_full_merge(tables in arb_keyed_table_pairs()) {
-        let packed = packed_horizon(&tables);
+        let server = server_with_board(&tables);
         for (key, sender, receiver) in &tables {
-            let horizon = horizon_for_key(&packed, *key);
+            let horizon = server.horizon(*key);
 
             let mut full = receiver.clone();
             full.merge_table(sender);
@@ -223,37 +233,9 @@ proptest! {
             prop_assert_eq!(
                 relevant(&delta),
                 relevant(&full),
-                "key {} diverged under packed-horizon pruning",
+                "key {} diverged under its server horizon",
                 key
             );
         }
-    }
-
-    /// The packed projection is exact: extracting one key out of the
-    /// packed map returns precisely that key's per-server horizon.
-    #[test]
-    fn packed_horizon_projects_exactly(tables in arb_keyed_table_pairs()) {
-        let packed = packed_horizon(&tables);
-        for (key, _, receiver) in &tables {
-            prop_assert_eq!(horizon_for_key(&packed, *key), receiver.horizon());
-        }
-        // A key nobody has chains for projects to an empty horizon.
-        prop_assert!(horizon_for_key(&packed, 999).is_empty());
-    }
-
-    /// Horizon slots round-trip, and key-0 slots collapse to the bare
-    /// server id — the invariant that keeps single-key wire traffic
-    /// byte-identical to the pre-keyspace encoding.
-    #[test]
-    fn horizon_slot_roundtrips(
-        key in 0u64..=marp_core::lt::MAX_HORIZON_KEY,
-        server in proptest::prelude::any::<u16>(),
-    ) {
-        let slot = pack_horizon_slot(key, server);
-        prop_assert_eq!(unpack_horizon_slot(slot), (key, server));
-        if key == 0 {
-            prop_assert_eq!(slot, u64::from(server));
-        }
-        prop_assert_eq!(pack_horizon_slot(0, server), u64::from(server));
     }
 }

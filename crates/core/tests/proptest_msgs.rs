@@ -65,7 +65,7 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
         (
             arb_agent_id(),
             any::<u32>(),
-            proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4),
+            proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
         )
             .prop_map(
                 |(agent, hop, horizon)| NodeMsg::Agent(AgentEnvelope::MigrateAck {
@@ -109,7 +109,8 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
                 reply_to,
             }
         }),
-        any::<u64>().prop_map(|v| NodeMsg::Sync(SyncMsg::Pull { from_version: v })),
+        proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4)
+            .prop_map(|versions| NodeMsg::Sync(SyncMsg::Pull { versions })),
     ]
 }
 

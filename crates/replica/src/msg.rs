@@ -224,54 +224,40 @@ marp_wire::wire_struct!(WriteRequest {
 /// Anti-entropy exchange for recovering replicas.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SyncMsg {
-    /// "Send me everything after `from_version`."
+    /// "Send me everything my chains are missing." A chain absent from
+    /// the map — every chain, when the map is empty — means "send it in
+    /// full".
     Pull {
-        /// Highest version the requester has applied.
-        from_version: u64,
+        /// Highest applied version per chain at the requester.
+        versions: std::collections::BTreeMap<u64, u64>,
     },
     /// The requested commit-log suffix.
     Push {
         /// Records in version order (within each chain).
         records: Vec<CommitRecord>,
     },
-    /// "Send me everything my chains are missing." Sent instead of
-    /// [`SyncMsg::Pull`] only by stores holding per-key chains beyond
-    /// chain 0, so single-key deployments keep the legacy exchange
-    /// byte-for-byte. A chain absent from the map means "send it in
-    /// full".
-    PullKeyed {
-        /// Highest applied version per chain at the requester.
-        versions: std::collections::BTreeMap<u64, u64>,
-    },
 }
 
 impl Wire for SyncMsg {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            SyncMsg::Pull { from_version } => {
+            SyncMsg::Pull { versions } => {
                 0u8.encode(buf);
-                from_version.encode(buf);
+                versions.encode(buf);
             }
             SyncMsg::Push { records } => {
                 1u8.encode(buf);
                 records.encode(buf);
-            }
-            SyncMsg::PullKeyed { versions } => {
-                2u8.encode(buf);
-                versions.encode(buf);
             }
         }
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         match u8::decode(buf)? {
             0 => Ok(SyncMsg::Pull {
-                from_version: u64::decode(buf)?,
+                versions: std::collections::BTreeMap::decode(buf)?,
             }),
             1 => Ok(SyncMsg::Push {
                 records: Vec::decode(buf)?,
-            }),
-            2 => Ok(SyncMsg::PullKeyed {
-                versions: std::collections::BTreeMap::decode(buf)?,
             }),
             tag => Err(WireError::InvalidTag {
                 type_name: "SyncMsg",
@@ -281,9 +267,8 @@ impl Wire for SyncMsg {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            SyncMsg::Pull { from_version } => from_version.encoded_len(),
+            SyncMsg::Pull { versions } => versions.encoded_len(),
             SyncMsg::Push { records } => records.encoded_len(),
-            SyncMsg::PullKeyed { versions } => versions.encoded_len(),
         }
     }
 }
@@ -351,8 +336,10 @@ mod tests {
 
     #[test]
     fn sync_messages_roundtrip() {
-        roundtrip(SyncMsg::Pull { from_version: 12 });
-        roundtrip(SyncMsg::PullKeyed {
+        roundtrip(SyncMsg::Pull {
+            versions: std::collections::BTreeMap::new(),
+        });
+        roundtrip(SyncMsg::Pull {
             versions: std::collections::BTreeMap::from([(0u64, 3u64), (7, 1)]),
         });
         roundtrip(SyncMsg::Push {
