@@ -8,9 +8,7 @@
 //! rule ("the tie is resolved by using the mobile agents' identifiers")
 //! needs one.
 
-use bytes::{Bytes, BytesMut};
 use marp_sim::{agent_key, AgentKey, NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 use std::fmt;
 
 /// Globally unique mobile-agent identifier.
@@ -48,23 +46,7 @@ impl fmt::Display for AgentId {
     }
 }
 
-impl Wire for AgentId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.born.encode(buf);
-        self.home.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(AgentId {
-            born: SimTime::decode(buf)?,
-            home: NodeId::decode(buf)?,
-            seq: u32::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.born.encoded_len() + self.home.encoded_len() + self.seq.encoded_len()
-    }
-}
+marp_wire::wire_struct!(AgentId { born, home, seq });
 
 #[cfg(test)]
 mod tests {

@@ -132,14 +132,16 @@ fn wire_inventory_covers_protocol_crates() {
             .filter(|wi| wi.krate == krate && (wi.shape == WireShape::Macro) == macro_shape)
             .count()
     };
-    // crates/core: Phase, UpdateAgent, LockingTable, NodeMsg, AgentReply,
-    // ReadAgent handwritten; UpdateMsg, CommitMsg via wire_enum!.
-    assert_eq!(count("crates/core", false), 6);
-    assert_eq!(count("crates/core", true), 2);
-    // crates/replica: Operation, ClientReply, SyncMsg handwritten; the
-    // request/lock-entry/snapshot family via macros.
-    assert_eq!(count("crates/replica", false), 3);
-    assert_eq!(count("crates/replica", true), 6);
+    // crates/core: no handwritten codecs; UpdateMsg, CommitMsg,
+    // LockingTable, UpdateAgent, ReadAgent via wire_struct! and Phase,
+    // NodeMsg, AgentReply via wire_enum!.
+    assert_eq!(count("crates/core", false), 0);
+    assert_eq!(count("crates/core", true), 8);
+    // crates/replica: no handwritten codecs; Operation, ClientReply,
+    // SyncMsg via wire_enum! and the request/lock-entry/snapshot family
+    // via wire_struct!.
+    assert_eq!(count("crates/replica", false), 0);
+    assert_eq!(count("crates/replica", true), 9);
     // crates/wire: the primitive leaf codecs plus the four varint-macro
     // instantiations (u16, u32, i16, i32).
     assert_eq!(count("crates/wire", false), 15);

@@ -68,8 +68,8 @@ pub use config::{ChaosMode, MarpConfig};
 pub use gossip::GossipBoard;
 pub use host::{MarpServerState, VisitInfo};
 pub use msg::{
-    wire_tag_name, wrap_agent_envelope, wrap_client_request, wrap_read_agent_envelope, wrap_sync,
-    AgentReply, CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,
+    wrap_agent_envelope, wrap_client_request, wrap_read_agent_envelope, wrap_sync, AgentReply,
+    CommitMsg, NodeMsg, UpdateMsg, WIRE_TAG_SYNC,
 };
 pub use node::MarpNode;
 pub use read_agent::ReadAgent;

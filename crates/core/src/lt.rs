@@ -29,11 +29,9 @@
 //!    the majority-ACK reservation round (see `DESIGN.md`), so a stale
 //!    view can delay but never violate mutual exclusion.
 
-use bytes::{Bytes, BytesMut};
 use marp_agent::AgentId;
 use marp_replica::{LlSnapshot, UpdatedList};
 use marp_sim::NodeId;
-use marp_wire::{Wire, WireError};
 use std::collections::BTreeMap;
 
 /// The travelling Locking Table: the freshest known LL snapshot per
@@ -162,19 +160,7 @@ impl LockingTable {
     }
 }
 
-impl Wire for LockingTable {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.snapshots.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(LockingTable {
-            snapshots: BTreeMap::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.snapshots.encoded_len()
-    }
-}
+marp_wire::wire_struct!(LockingTable { snapshots });
 
 /// Result of a priority evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]

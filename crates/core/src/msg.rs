@@ -5,11 +5,10 @@
 //! send back to agents (UPDATE acknowledgements and LL information).
 
 use crate::lt::LockingTable;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId};
 use marp_replica::{ClientRequest, CommitRecord, LlSnapshot, SyncMsg, UpdatedList, WriteRequest};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 
 /// The winning agent's UPDATE broadcast: "having obtained the lock,
 /// broadcast a message to all the replicas to request the update".
@@ -102,133 +101,23 @@ pub enum NodeMsg {
     },
 }
 
-const TAG_CLIENT: u8 = 0;
-const TAG_AGENT: u8 = 1;
-const TAG_UPDATE: u8 = 2;
-const TAG_COMMIT: u8 = 3;
-const TAG_RELEASE: u8 = 4;
-const TAG_LL_QUERY: u8 = 5;
-const TAG_SYNC: u8 = 6;
-const TAG_RAGENT: u8 = 7;
-const TAG_LL_QUERY_KEYED: u8 = 8;
-
 /// Leading wire-tag byte of [`NodeMsg::Sync`] frames — the anti-entropy
 /// (gossip reconciliation) channel. The sim kernel buckets sent bytes by
 /// this leading byte (`RunStats::bytes_by_kind`), so observability code
 /// needs the tag value to attribute that slot without re-decoding frames.
-pub const WIRE_TAG_SYNC: u8 = TAG_SYNC;
+pub const WIRE_TAG_SYNC: u8 = 6;
 
-/// Human-readable name for a leading [`NodeMsg`] wire-tag byte, for
-/// byte-accounting tables indexed by `RunStats::bytes_by_kind` slot.
-/// Unassigned slots come back as `"other"`.
-pub fn wire_tag_name(tag: u8) -> &'static str {
-    match tag {
-        TAG_CLIENT => "client",
-        TAG_AGENT => "agent",
-        TAG_UPDATE => "update",
-        TAG_COMMIT => "commit",
-        TAG_RELEASE => "release",
-        TAG_LL_QUERY => "ll-query",
-        TAG_SYNC => "sync",
-        TAG_RAGENT => "ragent",
-        TAG_LL_QUERY_KEYED => "ll-query-keyed",
-        _ => "other",
-    }
-}
-
-impl Wire for NodeMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            NodeMsg::Client(req) => {
-                TAG_CLIENT.encode(buf);
-                req.encode(buf);
-            }
-            NodeMsg::Agent(env) => {
-                TAG_AGENT.encode(buf);
-                env.encode(buf);
-            }
-            NodeMsg::Update(msg) => {
-                TAG_UPDATE.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::Commit(msg) => {
-                TAG_COMMIT.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::Release { agent } => {
-                TAG_RELEASE.encode(buf);
-                agent.encode(buf);
-            }
-            NodeMsg::LlQuery { agent, reply_to } => {
-                TAG_LL_QUERY.encode(buf);
-                agent.encode(buf);
-                reply_to.encode(buf);
-            }
-            NodeMsg::Sync(msg) => {
-                TAG_SYNC.encode(buf);
-                msg.encode(buf);
-            }
-            NodeMsg::RAgent(env) => {
-                TAG_RAGENT.encode(buf);
-                env.encode(buf);
-            }
-            NodeMsg::LlQueryKeyed {
-                agent,
-                key,
-                reply_to,
-            } => {
-                TAG_LL_QUERY_KEYED.encode(buf);
-                agent.encode(buf);
-                key.encode(buf);
-                reply_to.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            TAG_CLIENT => Ok(NodeMsg::Client(ClientRequest::decode(buf)?)),
-            TAG_AGENT => Ok(NodeMsg::Agent(AgentEnvelope::decode(buf)?)),
-            TAG_UPDATE => Ok(NodeMsg::Update(UpdateMsg::decode(buf)?)),
-            TAG_COMMIT => Ok(NodeMsg::Commit(CommitMsg::decode(buf)?)),
-            TAG_RELEASE => Ok(NodeMsg::Release {
-                agent: AgentId::decode(buf)?,
-            }),
-            TAG_LL_QUERY => Ok(NodeMsg::LlQuery {
-                agent: AgentId::decode(buf)?,
-                reply_to: NodeId::decode(buf)?,
-            }),
-            TAG_SYNC => Ok(NodeMsg::Sync(SyncMsg::decode(buf)?)),
-            TAG_RAGENT => Ok(NodeMsg::RAgent(AgentEnvelope::decode(buf)?)),
-            TAG_LL_QUERY_KEYED => Ok(NodeMsg::LlQueryKeyed {
-                agent: AgentId::decode(buf)?,
-                key: u64::decode(buf)?,
-                reply_to: NodeId::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "NodeMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            NodeMsg::Client(req) => req.encoded_len(),
-            NodeMsg::Agent(env) | NodeMsg::RAgent(env) => env.encoded_len(),
-            NodeMsg::Update(msg) => msg.encoded_len(),
-            NodeMsg::Commit(msg) => msg.encoded_len(),
-            NodeMsg::Release { agent } => agent.encoded_len(),
-            NodeMsg::LlQuery { agent, reply_to } => agent.encoded_len() + reply_to.encoded_len(),
-            NodeMsg::Sync(msg) => msg.encoded_len(),
-            NodeMsg::LlQueryKeyed {
-                agent,
-                key,
-                reply_to,
-            } => agent.encoded_len() + key.encoded_len() + reply_to.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(NodeMsg {
+    Client(req),
+    Agent(env),
+    Update(msg),
+    Commit(msg),
+    Release { agent },
+    LlQuery { agent, reply_to },
+    Sync(msg),
+    RAgent(env),
+    LlQueryKeyed { agent, key, reply_to },
+});
 
 /// Payloads servers address to agents (inside `ToAgent` envelopes).
 #[derive(Debug, Clone, PartialEq)]
@@ -267,91 +156,10 @@ pub enum AgentReply {
     },
 }
 
-impl Wire for AgentReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            AgentReply::UpdateAck {
-                node,
-                attempt,
-                positive,
-                store_version,
-                last_update,
-                fenced,
-            } => {
-                0u8.encode(buf);
-                node.encode(buf);
-                attempt.encode(buf);
-                positive.encode(buf);
-                store_version.encode(buf);
-                last_update.encode(buf);
-                fenced.encode(buf);
-            }
-            AgentReply::LlInfo {
-                node,
-                snapshot,
-                board,
-                ul,
-            } => {
-                1u8.encode(buf);
-                node.encode(buf);
-                snapshot.encode(buf);
-                board.encode(buf);
-                ul.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(AgentReply::UpdateAck {
-                node: NodeId::decode(buf)?,
-                attempt: u32::decode(buf)?,
-                positive: bool::decode(buf)?,
-                store_version: u64::decode(buf)?,
-                last_update: SimTime::decode(buf)?,
-                fenced: bool::decode(buf)?,
-            }),
-            1 => Ok(AgentReply::LlInfo {
-                node: NodeId::decode(buf)?,
-                snapshot: LlSnapshot::decode(buf)?,
-                board: LockingTable::decode(buf)?,
-                ul: UpdatedList::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "AgentReply",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            AgentReply::UpdateAck {
-                node,
-                attempt,
-                positive,
-                store_version,
-                last_update,
-                fenced,
-            } => {
-                node.encoded_len()
-                    + attempt.encoded_len()
-                    + positive.encoded_len()
-                    + store_version.encoded_len()
-                    + last_update.encoded_len()
-                    + fenced.encoded_len()
-            }
-            AgentReply::LlInfo {
-                node,
-                snapshot,
-                board,
-                ul,
-            } => {
-                node.encoded_len() + snapshot.encoded_len() + board.encoded_len() + ul.encoded_len()
-            }
-        }
-    }
-}
+marp_wire::wire_enum!(AgentReply {
+    UpdateAck { node, attempt, positive, store_version, last_update, fenced },
+    LlInfo { node, snapshot, board, ul },
+});
 
 /// Encode an [`AgentEnvelope`] into the MARP node message space (the
 /// `WrapFn` handed to the agent runtime).
@@ -379,6 +187,7 @@ pub fn wrap_client_request(request: ClientRequest) -> Bytes {
 mod tests {
     use super::*;
     use marp_replica::Operation;
+    use marp_wire::Wire;
 
     fn roundtrip(msg: NodeMsg) {
         let bytes = marp_wire::to_bytes(&msg);
@@ -481,6 +290,100 @@ mod tests {
         };
         let bytes = marp_wire::to_bytes(&reply);
         assert_eq!(marp_wire::from_bytes::<AgentReply>(&bytes).unwrap(), reply);
+    }
+
+    /// A `wire_enum!` tag is the variant's position in the macro's list,
+    /// so reordering a list would silently change the format. Byte
+    /// accounting (`RunStats::bytes_by_kind`) and external decoders key
+    /// on these leading bytes.
+    #[test]
+    fn leading_tag_bytes_are_pinned() {
+        fn lead<T: Wire>(value: &T) -> u8 {
+            marp_wire::to_bytes(value)[0]
+        }
+        let ack = AgentEnvelope::MigrateAck {
+            agent: aid(1),
+            hop: 0,
+            horizon: Default::default(),
+        };
+        let sync = NodeMsg::Sync(SyncMsg::Pull {
+            versions: Default::default(),
+        });
+        let node_msgs = [
+            NodeMsg::Client(ClientRequest {
+                id: 1,
+                op: Operation::Read { key: 0 },
+            }),
+            NodeMsg::Agent(ack.clone()),
+            NodeMsg::Update(UpdateMsg {
+                agent: aid(1),
+                attempt: 0,
+                incarnation: 0,
+                reply_to: 0,
+                requests: Vec::new(),
+                tie_certificate: None,
+            }),
+            NodeMsg::Commit(CommitMsg {
+                agent: aid(1),
+                records: Vec::new(),
+            }),
+            NodeMsg::Release { agent: aid(1) },
+            NodeMsg::LlQuery {
+                agent: aid(1),
+                reply_to: 0,
+            },
+            sync.clone(),
+            NodeMsg::RAgent(ack.clone()),
+            NodeMsg::LlQueryKeyed {
+                agent: aid(1),
+                key: 1,
+                reply_to: 0,
+            },
+        ];
+        for (tag, msg) in node_msgs.iter().enumerate() {
+            assert_eq!(usize::from(lead(msg)), tag, "{msg:?}");
+        }
+        assert_eq!(lead(&sync), WIRE_TAG_SYNC);
+
+        let envelopes = [
+            AgentEnvelope::Migrate {
+                agent: aid(1),
+                hop: 0,
+                state: Bytes::new(),
+            },
+            ack,
+            AgentEnvelope::ToAgent {
+                agent: aid(1),
+                payload: Bytes::new(),
+            },
+        ];
+        for (tag, env) in envelopes.iter().enumerate() {
+            assert_eq!(usize::from(lead(env)), tag, "{env:?}");
+        }
+
+        let replies = [
+            AgentReply::UpdateAck {
+                node: 0,
+                attempt: 0,
+                positive: true,
+                store_version: 0,
+                last_update: SimTime::ZERO,
+                fenced: false,
+            },
+            AgentReply::LlInfo {
+                node: 0,
+                snapshot: LlSnapshot {
+                    version: 0,
+                    taken_at: SimTime::ZERO,
+                    queue: Vec::new(),
+                },
+                board: LockingTable::new(),
+                ul: UpdatedList::new(),
+            },
+        ];
+        for (tag, reply) in replies.iter().enumerate() {
+            assert_eq!(usize::from(lead(reply)), tag, "{reply:?}");
+        }
     }
 
     #[test]

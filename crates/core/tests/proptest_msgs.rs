@@ -4,8 +4,12 @@
 
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId};
-use marp_core::{AgentReply, CommitMsg, NodeMsg, UpdateAgent, UpdateMsg};
-use marp_replica::{ClientRequest, CommitRecord, Operation, SyncMsg, WriteRequest};
+use marp_core::lt::LockingTable;
+use marp_core::{AgentReply, CommitMsg, NodeMsg, ReadAgent, UpdateAgent, UpdateMsg};
+use marp_replica::{
+    ClientReply, ClientRequest, CommitRecord, LlSnapshot, Operation, SyncMsg, UpdatedList,
+    WriteRequest,
+};
 use marp_sim::SimTime;
 use proptest::prelude::*;
 
@@ -50,6 +54,95 @@ fn arb_commit_record() -> impl Strategy<Value = CommitRecord> {
         })
 }
 
+fn arb_ll_snapshot() -> impl Strategy<Value = LlSnapshot> {
+    (
+        any::<u64>(),
+        0u64..1_000_000,
+        proptest::collection::vec(arb_agent_id(), 0..4),
+    )
+        .prop_map(|(version, ms, queue)| LlSnapshot {
+            version,
+            taken_at: SimTime::from_millis(ms),
+            queue,
+        })
+}
+
+fn arb_agent_reply() -> impl Strategy<Value = AgentReply> {
+    prop_oneof![
+        (
+            any::<u16>(),
+            any::<u32>(),
+            any::<bool>(),
+            any::<u64>(),
+            0u64..1_000_000,
+            any::<bool>(),
+        )
+            .prop_map(|(node, attempt, positive, store_version, ms, fenced)| {
+                AgentReply::UpdateAck {
+                    node,
+                    attempt,
+                    positive,
+                    store_version,
+                    last_update: SimTime::from_millis(ms),
+                    fenced,
+                }
+            }),
+        (
+            any::<u16>(),
+            arb_ll_snapshot(),
+            proptest::collection::vec((any::<u16>(), arb_ll_snapshot()), 0..3),
+            proptest::collection::vec((arb_agent_id(), 0u64..1_000_000), 0..3),
+        )
+            .prop_map(|(node, snapshot, board_snaps, finished)| {
+                let mut board = LockingTable::new();
+                for (server, snap) in board_snaps {
+                    board.merge(server, snap);
+                }
+                let mut ul = UpdatedList::new();
+                for (agent, ms) in finished {
+                    ul.record(agent, SimTime::from_millis(ms));
+                }
+                AgentReply::LlInfo {
+                    node,
+                    snapshot,
+                    board,
+                    ul,
+                }
+            }),
+    ]
+}
+
+/// An envelope of every shape: a migration with opaque state, its ack,
+/// and agent mail carrying an encoded [`AgentReply`].
+fn arb_envelope() -> impl Strategy<Value = AgentEnvelope> {
+    prop_oneof![
+        (
+            arb_agent_id(),
+            any::<u32>(),
+            proptest::collection::vec(any::<u8>(), 0..32),
+        )
+            .prop_map(|(agent, hop, state)| AgentEnvelope::Migrate {
+                agent,
+                hop,
+                state: Bytes::from(state),
+            }),
+        (
+            arb_agent_id(),
+            any::<u32>(),
+            proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
+        )
+            .prop_map(|(agent, hop, horizon)| AgentEnvelope::MigrateAck {
+                agent,
+                hop,
+                horizon,
+            }),
+        (arb_agent_id(), arb_agent_reply()).prop_map(|(agent, reply)| AgentEnvelope::ToAgent {
+            agent,
+            payload: marp_wire::to_bytes(&reply),
+        }),
+    ]
+}
+
 fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
     prop_oneof![
         (any::<u64>(), any::<u64>()).prop_map(|(id, key)| NodeMsg::Client(ClientRequest {
@@ -62,18 +155,12 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
                 op: Operation::Write { key, value },
             }
         )),
-        (
-            arb_agent_id(),
-            any::<u32>(),
-            proptest::collection::btree_map(any::<u16>(), any::<u64>(), 0..4),
-        )
-            .prop_map(
-                |(agent, hop, horizon)| NodeMsg::Agent(AgentEnvelope::MigrateAck {
-                    agent,
-                    hop,
-                    horizon,
-                })
-            ),
+        (any::<u64>(), any::<u64>()).prop_map(|(id, key)| NodeMsg::Client(ClientRequest {
+            id,
+            op: Operation::ReadFresh { key },
+        })),
+        arb_envelope().prop_map(NodeMsg::Agent),
+        arb_envelope().prop_map(NodeMsg::RAgent),
         (
             arb_agent_id(),
             any::<u32>(),
@@ -111,6 +198,8 @@ fn arb_node_msg() -> impl Strategy<Value = NodeMsg> {
         }),
         proptest::collection::btree_map(any::<u64>(), any::<u64>(), 0..4)
             .prop_map(|versions| NodeMsg::Sync(SyncMsg::Pull { versions })),
+        proptest::collection::vec(arb_commit_record(), 0..4)
+            .prop_map(|records| NodeMsg::Sync(SyncMsg::Push { records })),
     ]
 }
 
@@ -131,6 +220,8 @@ proptest! {
         let _ = marp_wire::from_bytes::<AgentReply>(&bytes);
         let _ = marp_wire::from_bytes::<UpdateAgent>(&bytes);
         let _ = marp_wire::from_bytes::<AgentEnvelope>(&bytes);
+        let _ = marp_wire::from_bytes::<ClientReply>(&bytes);
+        let _ = marp_wire::from_bytes::<ReadAgent>(&bytes);
     }
 
     /// Truncating a valid message never panics either (it errors).

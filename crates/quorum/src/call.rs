@@ -264,83 +264,18 @@ impl<T: Ord + Copy> QuorumCall<T> {
     }
 }
 
-impl Wire for Verdict {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Verdict::Won => 0u8.encode(buf),
-            Verdict::Lost => 1u8.encode(buf),
-            Verdict::TimedOut => 2u8.encode(buf),
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Verdict::Won),
-            1 => Ok(Verdict::Lost),
-            2 => Ok(Verdict::TimedOut),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Verdict",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
+marp_wire::wire_enum!(Verdict {
+    Won,
+    Lost,
+    TimedOut
+});
 
-impl Wire for SuccessRule {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SuccessRule::Majority { n } => {
-                0u8.encode(buf);
-                n.encode(buf);
-            }
-            SuccessRule::Weighted {
-                total_votes,
-                threshold,
-            } => {
-                1u8.encode(buf);
-                total_votes.encode(buf);
-                threshold.encode(buf);
-            }
-            SuccessRule::AllAvailable => 2u8.encode(buf),
-            SuccessRule::FirstK { k } => {
-                3u8.encode(buf);
-                k.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(SuccessRule::Majority {
-                n: u16::decode(buf)?,
-            }),
-            1 => Ok(SuccessRule::Weighted {
-                total_votes: u32::decode(buf)?,
-                threshold: u32::decode(buf)?,
-            }),
-            2 => Ok(SuccessRule::AllAvailable),
-            3 => Ok(SuccessRule::FirstK {
-                k: u16::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SuccessRule",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SuccessRule::Majority { n } => n.encoded_len(),
-            SuccessRule::Weighted {
-                total_votes,
-                threshold,
-            } => total_votes.encoded_len() + threshold.encoded_len(),
-            SuccessRule::AllAvailable => 0,
-            SuccessRule::FirstK { k } => k.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(SuccessRule {
+    Majority { n },
+    Weighted { total_votes, threshold },
+    AllAvailable,
+    FirstK { k },
+});
 
 impl<T: Wire> Wire for QuorumCall<T> {
     fn encode(&self, buf: &mut BytesMut) {

@@ -15,9 +15,6 @@
 //! mints (`ctx.set_timer(after, mux.arm(KIND, epoch))`) and offer every
 //! fired tag back through [`TimerMux::fired`].
 
-use bytes::{Bytes, BytesMut};
-use marp_wire::{Wire, WireError};
-
 /// Bits of the tag word reserved for the kind.
 const KIND_BITS: u32 = 8;
 
@@ -111,19 +108,7 @@ impl TimerMux {
     }
 }
 
-impl Wire for TimerMux {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.armed.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(TimerMux {
-            armed: Vec::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.armed.encoded_len()
-    }
-}
+marp_wire::wire_struct!(TimerMux { armed });
 
 #[cfg(test)]
 mod tests {

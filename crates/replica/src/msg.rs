@@ -3,9 +3,7 @@
 //! anti-entropy (recovery) exchange.
 
 use crate::store::CommitRecord;
-use bytes::{Bytes, BytesMut};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 
 /// A client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,49 +45,7 @@ impl Operation {
     }
 }
 
-impl Wire for Operation {
-    fn encode(&self, buf: &mut BytesMut) {
-        match *self {
-            Operation::Read { key } => {
-                0u8.encode(buf);
-                key.encode(buf);
-            }
-            Operation::Write { key, value } => {
-                1u8.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-            }
-            Operation::ReadFresh { key } => {
-                2u8.encode(buf);
-                key.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Operation::Read {
-                key: u64::decode(buf)?,
-            }),
-            1 => Ok(Operation::Write {
-                key: u64::decode(buf)?,
-                value: u64::decode(buf)?,
-            }),
-            2 => Ok(Operation::ReadFresh {
-                key: u64::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "Operation",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Operation::Read { key } | Operation::ReadFresh { key } => key.encoded_len(),
-            Operation::Write { key, value } => key.encoded_len() + value.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(Operation { Read { key }, Write { key, value }, ReadFresh { key } });
 
 /// A request as sent from a client to its replica server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,66 +91,11 @@ pub enum ClientReply {
     },
 }
 
-impl Wire for ClientReply {
-    fn encode(&self, buf: &mut BytesMut) {
-        match *self {
-            ClientReply::ReadOk {
-                id,
-                key,
-                value,
-                version,
-            } => {
-                0u8.encode(buf);
-                id.encode(buf);
-                key.encode(buf);
-                value.encode(buf);
-                version.encode(buf);
-            }
-            ClientReply::WriteDone { id, version } => {
-                1u8.encode(buf);
-                id.encode(buf);
-                version.encode(buf);
-            }
-            ClientReply::Rejected { id } => {
-                2u8.encode(buf);
-                id.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientReply::ReadOk {
-                id: u64::decode(buf)?,
-                key: u64::decode(buf)?,
-                value: Option::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            1 => Ok(ClientReply::WriteDone {
-                id: u64::decode(buf)?,
-                version: u64::decode(buf)?,
-            }),
-            2 => Ok(ClientReply::Rejected {
-                id: u64::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "ClientReply",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClientReply::ReadOk {
-                id,
-                key,
-                value,
-                version,
-            } => id.encoded_len() + key.encoded_len() + value.encoded_len() + version.encoded_len(),
-            ClientReply::WriteDone { id, version } => id.encoded_len() + version.encoded_len(),
-            ClientReply::Rejected { id } => id.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(ClientReply {
+    ReadOk { id, key, value, version },
+    WriteDone { id, version },
+    Rejected { id },
+});
 
 /// A pending write as carried in an agent's Request List (RL) or a
 /// baseline coordinator's queue.
@@ -238,44 +139,12 @@ pub enum SyncMsg {
     },
 }
 
-impl Wire for SyncMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SyncMsg::Pull { versions } => {
-                0u8.encode(buf);
-                versions.encode(buf);
-            }
-            SyncMsg::Push { records } => {
-                1u8.encode(buf);
-                records.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(SyncMsg::Pull {
-                versions: std::collections::BTreeMap::decode(buf)?,
-            }),
-            1 => Ok(SyncMsg::Push {
-                records: Vec::decode(buf)?,
-            }),
-            tag => Err(WireError::InvalidTag {
-                type_name: "SyncMsg",
-                tag: u32::from(tag),
-            }),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SyncMsg::Pull { versions } => versions.encoded_len(),
-            SyncMsg::Push { records } => records.encoded_len(),
-        }
-    }
-}
+marp_wire::wire_enum!(SyncMsg { Pull { versions }, Push { records } });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marp_wire::Wire;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = marp_wire::to_bytes(&value);

@@ -442,56 +442,86 @@ macro_rules! wire_struct {
     };
 }
 
-/// Implement [`Wire`] for a field-less (unit-variant) enum by encoding the
-/// variant's declaration index as a single `u8` tag. Decoding rejects
-/// unknown tags with [`WireError::InvalidTag`].
+/// Implement [`Wire`] for an enum. Each variant encodes as a one-byte
+/// tag — its position in the macro's list, counting from 0 — followed by
+/// its fields in the listed order. Unit variants are listed by name,
+/// tuple variants with one binding per field (`Client(req)`; the names
+/// only bind), struct variants with their field names
+/// (`LlQuery { agent, reply_to }`). Decoding rejects unknown tags with
+/// [`WireError::InvalidTag`]. The list must name every variant, and
+/// reordering it changes the wire format.
 ///
 /// ```
 /// use marp_wire::{wire_enum, Wire};
 ///
-/// #[derive(Debug, Clone, Copy, PartialEq)]
-/// enum Phase { Travelling, Updating, Parked }
-/// wire_enum!(Phase { Travelling, Updating, Parked });
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Data(u32, bool),
+///     Move { from: u16, to: u16 },
+/// }
+/// wire_enum!(Msg { Ping, Data(n, flag), Move { from, to } });
 ///
-/// let bytes = marp_wire::to_bytes(&Phase::Updating);
-/// assert_eq!(bytes.as_ref(), &[1]);
-/// assert_eq!(marp_wire::from_bytes::<Phase>(&bytes).unwrap(), Phase::Updating);
+/// assert_eq!(marp_wire::to_bytes(&Msg::Ping).as_ref(), &[0]);
+/// assert_eq!(marp_wire::to_bytes(&Msg::Data(7, true)).as_ref(), &[1, 7, 1]);
+/// let bytes = marp_wire::to_bytes(&Msg::Move { from: 3, to: 9 });
+/// assert_eq!(bytes.as_ref(), &[2, 3, 9]);
+/// assert_eq!(
+///     marp_wire::from_bytes::<Msg>(&bytes).unwrap(),
+///     Msg::Move { from: 3, to: 9 }
+/// );
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
-    ($name:ident { $($variant:ident),* $(,)? }) => {
-        impl $crate::Wire for $name {
-            fn encode(&self, buf: &mut ::bytes::BytesMut) {
-                let mut tag: u8 = 0;
-                $(
-                    if matches!(self, $name::$variant) {
-                        $crate::Wire::encode(&tag, buf);
-                        return;
+    ($name:ident {
+        $( $variant:ident
+            $( ( $($tfield:ident),+ $(,)? ) )?
+            $( { $($sfield:ident),+ $(,)? } )?
+        ),* $(,)?
+    }) => {
+        const _: () = {
+            // Repeats the list, so each discriminant is the variant's tag.
+            #[repr(u8)]
+            enum __WireTag { $($variant),* }
+
+            impl $crate::Wire for $name {
+                fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                    match self {
+                        $(
+                            $name::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )? => {
+                                $crate::Wire::encode(&(__WireTag::$variant as u8), buf);
+                                $( $( $crate::Wire::encode($tfield, buf); )+ )?
+                                $( $( $crate::Wire::encode($sfield, buf); )+ )?
+                            }
+                        )*
                     }
-                    tag += 1;
-                )*
-                let _ = tag;
-                unreachable!("wire_enum! covers every variant");
-            }
-            fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
-                let got: u8 = $crate::Wire::decode(buf)?;
-                let mut tag: u8 = 0;
-                $(
-                    if got == tag {
-                        return Ok($name::$variant);
+                }
+                fn decode(buf: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::WireError> {
+                    let tag: u8 = $crate::Wire::decode(buf)?;
+                    $(
+                        if tag == __WireTag::$variant as u8 {
+                            $( $( let $tfield = $crate::Wire::decode(buf)?; )+ )?
+                            $( $( let $sfield = $crate::Wire::decode(buf)?; )+ )?
+                            return Ok($name::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )?);
+                        }
+                    )*
+                    Err($crate::WireError::InvalidTag {
+                        type_name: stringify!($name),
+                        tag: u32::from(tag),
+                    })
+                }
+                fn encoded_len(&self) -> usize {
+                    1 + match self {
+                        $(
+                            $name::$variant $( ( $($tfield),+ ) )? $( { $($sfield),+ } )? => {
+                                0 $( $( + $crate::Wire::encoded_len($tfield) )+ )?
+                                  $( $( + $crate::Wire::encoded_len($sfield) )+ )?
+                            }
+                        )*
                     }
-                    tag += 1;
-                )*
-                let _ = tag;
-                Err($crate::WireError::InvalidTag {
-                    type_name: stringify!($name),
-                    tag: u32::from(got),
-                })
+                }
             }
-            fn encoded_len(&self) -> usize {
-                1
-            }
-        }
+        };
     };
 }
 
