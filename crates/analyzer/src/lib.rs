@@ -6,8 +6,9 @@
 //!
 //! * [`run_lint`] — the sans-io lint set (formerly regex scans),
 //!   re-ported onto the token model.
-//! * [`run_analyze`] — the five protocol passes: wire symmetry, handler
-//!   exhaustiveness, timer-tag registry, span balance, lease discipline.
+//! * [`run_analyze`] — the five protocol passes: hand-written wire
+//!   codecs, handler exhaustiveness, timer-tag registry, span balance,
+//!   lease discipline.
 //!
 //! Findings print as `path:line: [rule] text`; deliberate exemptions
 //! live in `lint-allow.txt` at the workspace root, one
@@ -176,12 +177,12 @@ mod tests {
         let f = Finding {
             rel: "crates/core/src/x.rs".into(),
             line: 7,
-            rule: "wire-symmetry",
+            rule: "wire-handwritten",
             text: "Msg: bad".into(),
         };
         assert_eq!(
             render(&[f]),
-            "crates/core/src/x.rs:7: [wire-symmetry] Msg: bad\n"
+            "crates/core/src/x.rs:7: [wire-handwritten] Msg: bad\n"
         );
     }
 }

@@ -12,9 +12,8 @@
 //! helper forwarding a `kind` variable) are treated as covering any kind
 //! on the End side and as unattributable on the Start side.
 //!
-//! Constructions whose fields are themselves `decode` calls (the trace
-//! store's wire codec reconstructing events from bytes) are not
-//! emissions at all — they re-materialize spans someone else already
+//! Constructions whose fields are themselves `decode` calls (a codec
+//! reconstructing events from bytes) are not emissions at all — they re-materialize spans someone else already
 //! emitted — and are excluded so a kind-generic decoder does not
 //! blind the balance check.
 

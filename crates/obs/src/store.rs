@@ -2,356 +2,25 @@
 //!
 //! A recorded [`TraceLog`] can be written to disk and read back by the
 //! `marp-trace` CLI. The format is the workspace wire encoding: a magic
-//! header, a record count, then each record as `(at, node, event)` with
-//! a one-byte event tag in declaration order. [`TraceEvent`] lives in
-//! `marp-sim` and [`marp_wire::Wire`] in `marp-wire`, so the encoding is
-//! spelled out here as free functions rather than a trait impl.
+//! header, then the records as a `Vec<TraceRecord>` — a record count,
+//! then each record as `(at, node, event)` with a one-byte event tag.
+//! The codecs are declared beside [`TraceEvent`] in `marp-sim`.
 
 use bytes::{Buf, Bytes, BytesMut};
-use marp_sim::{SimTime, TraceEvent, TraceLevel, TraceLog, TraceRecord};
+use marp_sim::{TraceLevel, TraceLog, TraceRecord};
 use marp_wire::{Wire, WireError};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// File magic: "MARPTRC" + format version.
 pub const MAGIC: &[u8; 8] = b"MARPTRC1";
 
-/// The trace events carry `&'static str` labels. Decoding a file brings
-/// them back as owned strings; this interner hands out `'static`
-/// references, leaking one allocation per *distinct* label (labels are
-/// compile-time constants in practice, so the set is tiny).
-fn intern(label: String) -> &'static str {
-    static INTERNED: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = INTERNED
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("interner poisoned");
-    if let Some(&stored) = map.get(&label) {
-        return stored;
-    }
-    let leaked: &'static str = Box::leak(label.clone().into_boxed_str());
-    map.insert(label, leaked);
-    leaked
-}
-
-fn encode_event(event: &TraceEvent, buf: &mut BytesMut) {
-    match event {
-        TraceEvent::MsgSent { from, to, bytes } => {
-            0u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            bytes.encode(buf);
-        }
-        TraceEvent::MsgDelivered { from, to, bytes } => {
-            1u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            bytes.encode(buf);
-        }
-        TraceEvent::MsgDropped { from, to, reason } => {
-            2u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            (*reason).to_string().encode(buf);
-        }
-        TraceEvent::NodeDown(node) => {
-            3u8.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::NodeUp(node) => {
-            4u8.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::RequestArrived {
-            node,
-            request,
-            write,
-        } => {
-            5u8.encode(buf);
-            node.encode(buf);
-            request.encode(buf);
-            write.encode(buf);
-        }
-        TraceEvent::ReadServed {
-            node,
-            request,
-            version,
-        } => {
-            6u8.encode(buf);
-            node.encode(buf);
-            request.encode(buf);
-            version.encode(buf);
-        }
-        TraceEvent::AgentDispatched { agent, home, batch } => {
-            7u8.encode(buf);
-            agent.encode(buf);
-            home.encode(buf);
-            batch.encode(buf);
-        }
-        TraceEvent::AgentMigrated {
-            agent,
-            from,
-            to,
-            hops,
-        } => {
-            8u8.encode(buf);
-            agent.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-            hops.encode(buf);
-        }
-        TraceEvent::AgentMigrateFailed { agent, from, to } => {
-            9u8.encode(buf);
-            agent.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-        }
-        TraceEvent::ReplicaDeclaredUnavailable { agent, node } => {
-            10u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::LockRequested { agent, node } => {
-            11u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-        }
-        TraceEvent::LockGranted {
-            agent,
-            node,
-            visits,
-            via_tie,
-        } => {
-            12u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-            visits.encode(buf);
-            via_tie.encode(buf);
-        }
-        TraceEvent::UpdateSent { agent, version } => {
-            13u8.encode(buf);
-            agent.encode(buf);
-            version.encode(buf);
-        }
-        TraceEvent::UpdateAcked {
-            agent,
-            node,
-            positive,
-        } => {
-            14u8.encode(buf);
-            agent.encode(buf);
-            node.encode(buf);
-            positive.encode(buf);
-        }
-        TraceEvent::WinAborted { agent } => {
-            15u8.encode(buf);
-            agent.encode(buf);
-        }
-        TraceEvent::CommitApplied {
-            node,
-            version,
-            agent,
-            key,
-            request,
-        } => {
-            16u8.encode(buf);
-            node.encode(buf);
-            version.encode(buf);
-            agent.encode(buf);
-            key.encode(buf);
-            request.encode(buf);
-        }
-        TraceEvent::AgentDisposed { agent, born } => {
-            17u8.encode(buf);
-            agent.encode(buf);
-            born.encode(buf);
-        }
-        TraceEvent::UpdateCompleted {
-            request,
-            home,
-            arrived,
-            dispatched,
-            locked,
-            visits,
-        } => {
-            18u8.encode(buf);
-            request.encode(buf);
-            home.encode(buf);
-            arrived.encode(buf);
-            dispatched.encode(buf);
-            locked.encode(buf);
-            visits.encode(buf);
-        }
-        TraceEvent::SpanStart {
-            id,
-            parent,
-            kind,
-            a,
-            b,
-        } => {
-            19u8.encode(buf);
-            id.encode(buf);
-            parent.encode(buf);
-            kind.encode(buf);
-            a.encode(buf);
-            b.encode(buf);
-        }
-        TraceEvent::SpanEnd { id, kind } => {
-            20u8.encode(buf);
-            id.encode(buf);
-            kind.encode(buf);
-        }
-        TraceEvent::SpanLink { from, to } => {
-            21u8.encode(buf);
-            from.encode(buf);
-            to.encode(buf);
-        }
-        TraceEvent::Custom { kind, a, b } => {
-            22u8.encode(buf);
-            (*kind).to_string().encode(buf);
-            a.encode(buf);
-            b.encode(buf);
-        }
-        // Tags are appended in declaration order of *introduction*, so
-        // traces written before a variant existed still decode.
-        TraceEvent::AgentStateShipped { agent, bytes } => {
-            23u8.encode(buf);
-            agent.encode(buf);
-            bytes.encode(buf);
-        }
-    }
-}
-
-fn decode_event(buf: &mut Bytes) -> Result<TraceEvent, WireError> {
-    match u8::decode(buf)? {
-        0 => Ok(TraceEvent::MsgSent {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        1 => Ok(TraceEvent::MsgDelivered {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        2 => Ok(TraceEvent::MsgDropped {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            reason: intern(String::decode(buf)?),
-        }),
-        3 => Ok(TraceEvent::NodeDown(Wire::decode(buf)?)),
-        4 => Ok(TraceEvent::NodeUp(Wire::decode(buf)?)),
-        5 => Ok(TraceEvent::RequestArrived {
-            node: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-            write: Wire::decode(buf)?,
-        }),
-        6 => Ok(TraceEvent::ReadServed {
-            node: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-        }),
-        7 => Ok(TraceEvent::AgentDispatched {
-            agent: Wire::decode(buf)?,
-            home: Wire::decode(buf)?,
-            batch: Wire::decode(buf)?,
-        }),
-        8 => Ok(TraceEvent::AgentMigrated {
-            agent: Wire::decode(buf)?,
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-            hops: Wire::decode(buf)?,
-        }),
-        9 => Ok(TraceEvent::AgentMigrateFailed {
-            agent: Wire::decode(buf)?,
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-        }),
-        10 => Ok(TraceEvent::ReplicaDeclaredUnavailable {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-        }),
-        11 => Ok(TraceEvent::LockRequested {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-        }),
-        12 => Ok(TraceEvent::LockGranted {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-            visits: Wire::decode(buf)?,
-            via_tie: Wire::decode(buf)?,
-        }),
-        13 => Ok(TraceEvent::UpdateSent {
-            agent: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-        }),
-        14 => Ok(TraceEvent::UpdateAcked {
-            agent: Wire::decode(buf)?,
-            node: Wire::decode(buf)?,
-            positive: Wire::decode(buf)?,
-        }),
-        15 => Ok(TraceEvent::WinAborted {
-            agent: Wire::decode(buf)?,
-        }),
-        16 => Ok(TraceEvent::CommitApplied {
-            node: Wire::decode(buf)?,
-            version: Wire::decode(buf)?,
-            agent: Wire::decode(buf)?,
-            key: Wire::decode(buf)?,
-            request: Wire::decode(buf)?,
-        }),
-        17 => Ok(TraceEvent::AgentDisposed {
-            agent: Wire::decode(buf)?,
-            born: Wire::decode(buf)?,
-        }),
-        18 => Ok(TraceEvent::UpdateCompleted {
-            request: Wire::decode(buf)?,
-            home: Wire::decode(buf)?,
-            arrived: Wire::decode(buf)?,
-            dispatched: Wire::decode(buf)?,
-            locked: Wire::decode(buf)?,
-            visits: Wire::decode(buf)?,
-        }),
-        19 => Ok(TraceEvent::SpanStart {
-            id: Wire::decode(buf)?,
-            parent: Wire::decode(buf)?,
-            kind: Wire::decode(buf)?,
-            a: Wire::decode(buf)?,
-            b: Wire::decode(buf)?,
-        }),
-        20 => Ok(TraceEvent::SpanEnd {
-            id: Wire::decode(buf)?,
-            kind: Wire::decode(buf)?,
-        }),
-        21 => Ok(TraceEvent::SpanLink {
-            from: Wire::decode(buf)?,
-            to: Wire::decode(buf)?,
-        }),
-        22 => Ok(TraceEvent::Custom {
-            kind: intern(String::decode(buf)?),
-            a: Wire::decode(buf)?,
-            b: Wire::decode(buf)?,
-        }),
-        23 => Ok(TraceEvent::AgentStateShipped {
-            agent: Wire::decode(buf)?,
-            bytes: Wire::decode(buf)?,
-        }),
-        tag => Err(WireError::InvalidTag {
-            type_name: "TraceEvent",
-            tag: u32::from(tag),
-        }),
-    }
-}
-
 /// Encode a full trace into the binary file format.
 pub fn encode_trace(trace: &TraceLog) -> Vec<u8> {
+    let records = trace.records();
     let mut buf = BytesMut::new();
     buf.extend_from_slice(MAGIC);
-    trace.records().len().encode(&mut buf);
-    for rec in trace.records() {
-        rec.at.encode(&mut buf);
-        rec.node.encode(&mut buf);
-        encode_event(&rec.event, &mut buf);
+    records.len().encode(&mut buf);
+    for rec in records {
+        rec.encode(&mut buf);
     }
     buf.to_vec()
 }
@@ -367,13 +36,9 @@ pub fn decode_trace(data: &[u8]) -> Result<TraceLog, WireError> {
         });
     }
     buf.advance(MAGIC.len());
-    let count = usize::decode(&mut buf)?;
     let mut log = TraceLog::new(TraceLevel::Full);
-    for _ in 0..count {
-        let at = SimTime::decode(&mut buf)?;
-        let node = marp_sim::NodeId::decode(&mut buf)?;
-        let event = decode_event(&mut buf)?;
-        log.push(at, node, event);
+    for rec in Vec::<TraceRecord>::decode(&mut buf)? {
+        log.push(rec.at, rec.node, rec.event);
     }
     Ok(log)
 }
@@ -394,41 +59,103 @@ pub fn load_trace(path: &std::path::Path) -> std::io::Result<TraceLog> {
     })
 }
 
-/// Round-trip helper for tests and the CLI: records compare equal after
-/// a save/load cycle.
-pub fn roundtrip_equal(a: &TraceLog, b: &TraceLog) -> bool {
-    let (ra, rb): (&[TraceRecord], &[TraceRecord]) = (a.records(), b.records());
-    ra == rb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use marp_sim::{span_id, SpanKind};
+    use marp_sim::{agent_key, span_id, SimTime, SpanKind, TraceEvent};
 
-    fn sample_trace() -> TraceLog {
-        let mut log = TraceLog::new(TraceLevel::Full);
-        log.push(
-            SimTime::from_millis(1),
-            0,
+    /// One record of every [`TraceEvent`] variant, in tag order.
+    fn every_variant_trace() -> TraceLog {
+        let t = SimTime::from_micros;
+        let events = [
             TraceEvent::MsgSent {
                 from: 0,
                 to: 1,
                 bytes: 33,
             },
-        );
-        log.push(
-            SimTime::from_millis(2),
-            1,
+            TraceEvent::MsgDelivered {
+                from: 0,
+                to: 1,
+                bytes: 300,
+            },
             TraceEvent::MsgDropped {
                 from: 1,
                 to: 0,
                 reason: "partition",
             },
-        );
-        log.push(
-            SimTime::from_millis(3),
-            2,
+            TraceEvent::NodeDown(2),
+            TraceEvent::NodeUp(2),
+            TraceEvent::RequestArrived {
+                node: 3,
+                request: 7,
+                write: true,
+            },
+            TraceEvent::ReadServed {
+                node: 3,
+                request: 8,
+                version: 129,
+            },
+            TraceEvent::AgentDispatched {
+                agent: agent_key(3, 1),
+                home: 3,
+                batch: 2,
+            },
+            TraceEvent::AgentMigrated {
+                agent: agent_key(3, 1),
+                from: 3,
+                to: 4,
+                hops: 1,
+            },
+            TraceEvent::AgentMigrateFailed {
+                agent: agent_key(3, 1),
+                from: 4,
+                to: 0,
+            },
+            TraceEvent::ReplicaDeclaredUnavailable {
+                agent: agent_key(3, 1),
+                node: 0,
+            },
+            TraceEvent::LockRequested {
+                agent: agent_key(3, 1),
+                node: 4,
+            },
+            TraceEvent::LockGranted {
+                agent: agent_key(3, 1),
+                node: 4,
+                visits: 3,
+                via_tie: false,
+            },
+            TraceEvent::UpdateSent {
+                agent: agent_key(3, 1),
+                version: 5,
+            },
+            TraceEvent::UpdateAcked {
+                agent: agent_key(3, 1),
+                node: 1,
+                positive: true,
+            },
+            TraceEvent::WinAborted {
+                agent: agent_key(3, 2),
+            },
+            TraceEvent::CommitApplied {
+                node: 1,
+                version: 5,
+                agent: agent_key(3, 1),
+                key: 9,
+                request: 7,
+            },
+            TraceEvent::AgentDisposed {
+                agent: agent_key(3, 1),
+                born: t(10),
+            },
+            TraceEvent::UpdateCompleted {
+                request: 7,
+                home: 3,
+                arrived: t(1),
+                dispatched: t(2),
+                locked: t(4),
+                visits: 3,
+            },
             TraceEvent::SpanStart {
                 id: span_id(SpanKind::Dispatch, 9, 0),
                 parent: 0,
@@ -436,44 +163,53 @@ mod tests {
                 a: 9,
                 b: 0,
             },
-        );
-        log.push(
-            SimTime::from_millis(4),
-            2,
+            TraceEvent::SpanEnd {
+                id: span_id(SpanKind::Dispatch, 9, 0),
+                kind: SpanKind::Dispatch,
+            },
+            TraceEvent::SpanLink { from: 1, to: 2 },
             TraceEvent::Custom {
                 kind: "adaptive-batch-size",
                 a: 4,
                 b: 2,
             },
-        );
-        log.push(
-            SimTime::from_millis(5),
-            2,
-            TraceEvent::UpdateCompleted {
-                request: 7,
-                home: 2,
-                arrived: SimTime::from_millis(1),
-                dispatched: SimTime::from_millis(2),
-                locked: SimTime::from_millis(4),
-                visits: 3,
+            TraceEvent::AgentStateShipped {
+                agent: agent_key(3, 1),
+                bytes: 1000,
             },
-        );
+        ];
+        let mut log = TraceLog::new(TraceLevel::Full);
+        for (i, event) in events.into_iter().enumerate() {
+            log.push(t(100 * i as u64), i as u16 % 5, event);
+        }
         log
     }
 
-    #[test]
-    fn binary_roundtrip_preserves_every_record() {
-        let log = sample_trace();
-        let bytes = encode_trace(&log);
-        let back = decode_trace(&bytes).unwrap();
-        assert!(roundtrip_equal(&log, &back));
-    }
+    /// `every_variant_trace` as written by the hand-written per-variant
+    /// codec this file used to carry. The declared codecs must keep the
+    /// `MARPTRC1` format byte for byte.
+    const PINNED_HEX: &str = concat!(
+        "4d4152505452433118000000000121a08d0601010001ac02c09a0c0202010009",
+        "706172746974696f6ee0a71203030280b518040402a0c21e0005030701c0cf24",
+        "010603088101e0dc2a02078180808030030280ea3003088180808030030401a0",
+        "f736040981808080300400c0843d000a818080803000e09143010b8180808030",
+        "04809f49020c8180808030040300a0ac4f030d818080803005c0b955040e8180",
+        "8080300101e0c65b000f828080803080d4610110010581808080300907a0e167",
+        "02118180808030904ec0ee6d03120703e807d00fa01f03e0fb730413e3aaa8ef",
+        "e9d2fee3120001090080897a0014e3aaa8efe9d2fee31201a096800101150102",
+        "c0a3860102161361646170746976652d62617463682d73697a650402e0b08c01",
+        "03178180808030e807",
+    );
 
     #[test]
-    fn interner_returns_stable_references() {
-        let a = intern(String::from("some-label"));
-        let b = intern(String::from("some-label"));
-        assert!(std::ptr::eq(a, b));
+    fn trace_file_format_is_pinned() {
+        let log = every_variant_trace();
+        let pinned: Vec<u8> = (0..PINNED_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PINNED_HEX[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(encode_trace(&log), pinned);
+        assert_eq!(decode_trace(&pinned).unwrap().records(), log.records());
     }
 
     #[test]
@@ -484,7 +220,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        let bytes = encode_trace(&sample_trace());
+        let bytes = encode_trace(&every_variant_trace());
         assert!(decode_trace(&bytes[..bytes.len() - 3]).is_err());
     }
 }

@@ -1,9 +1,7 @@
 //! Quorum calls: broadcast a question, collect deduplicated per-node
 //! replies, decide through a configurable success predicate.
 
-use bytes::{Bytes, BytesMut};
 use marp_sim::{NodeId, SimTime};
-use marp_wire::{Wire, WireError};
 
 /// When is a call decided, and how?
 ///
@@ -277,43 +275,17 @@ marp_wire::wire_enum!(SuccessRule {
     FirstK { k },
 });
 
-impl<T: Wire> Wire for QuorumCall<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.rule.encode(buf);
-        self.outstanding.encode(buf);
-        self.positives.encode(buf);
-        self.negatives.encode(buf);
-        self.granted_votes.encode(buf);
-        self.rejected_votes.encode(buf);
-        self.started.encode(buf);
-        self.verdict.encode(buf);
-        self.span.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(QuorumCall {
-            rule: SuccessRule::decode(buf)?,
-            outstanding: Vec::decode(buf)?,
-            positives: Vec::decode(buf)?,
-            negatives: Vec::decode(buf)?,
-            granted_votes: u32::decode(buf)?,
-            rejected_votes: u32::decode(buf)?,
-            started: SimTime::decode(buf)?,
-            verdict: Option::decode(buf)?,
-            span: u64::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.rule.encoded_len()
-            + self.outstanding.encoded_len()
-            + self.positives.encoded_len()
-            + self.negatives.encoded_len()
-            + self.granted_votes.encoded_len()
-            + self.rejected_votes.encoded_len()
-            + self.started.encoded_len()
-            + self.verdict.encoded_len()
-            + self.span.encoded_len()
-    }
-}
+marp_wire::wire_struct!(QuorumCall<T> {
+    rule,
+    outstanding,
+    positives,
+    negatives,
+    granted_votes,
+    rejected_votes,
+    started,
+    verdict,
+    span,
+});
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,6 @@
 //! spans are ordinary [`std::time::Duration`]s. This is what makes runs
 //! bit-for-bit reproducible from a seed.
 
-use bytes::{Bytes, BytesMut};
-use marp_wire::{Wire, WireError};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -108,17 +106,7 @@ impl fmt::Display for SimTime {
     }
 }
 
-impl Wire for SimTime {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(SimTime(u64::decode(buf)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
+marp_wire::wire_struct!(SimTime { 0 });
 
 /// Convert a [`Duration`] to nanoseconds, saturating at `u64::MAX`.
 pub fn duration_nanos(d: Duration) -> u64 {

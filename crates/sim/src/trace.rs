@@ -23,6 +23,8 @@ pub type SpanId = u64;
 /// What phase of a write's life a span covers. Each committed write forms
 /// the tree `request → dispatch → {migrate×k, lock-acquire} →
 /// update-quorum → commit`; consistent reads get their own `Read` span.
+/// Declaration order is the wire tag and feeds [`span_id`], so a new kind
+/// goes at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Client request pending at its accepting replica (arrival → reply).
@@ -67,33 +69,6 @@ impl SpanKind {
             SpanKind::Read => "read",
         }
     }
-
-    /// Stable numeric tag (wire format and span-id derivation).
-    pub fn tag(self) -> u8 {
-        match self {
-            SpanKind::Request => 0,
-            SpanKind::Dispatch => 1,
-            SpanKind::Migrate => 2,
-            SpanKind::LockAcquire => 3,
-            SpanKind::UpdateQuorum => 4,
-            SpanKind::Commit => 5,
-            SpanKind::Read => 6,
-        }
-    }
-
-    /// Inverse of [`SpanKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<SpanKind> {
-        Some(match tag {
-            0 => SpanKind::Request,
-            1 => SpanKind::Dispatch,
-            2 => SpanKind::Migrate,
-            3 => SpanKind::LockAcquire,
-            4 => SpanKind::UpdateQuorum,
-            5 => SpanKind::Commit,
-            6 => SpanKind::Read,
-            _ => return None,
-        })
-    }
 }
 
 /// Derive the [`SpanId`] for a span from its kind and semantic identity
@@ -106,7 +81,7 @@ impl SpanKind {
 /// (the null-parent sentinel).
 pub fn span_id(kind: SpanKind, a: u64, b: u64) -> SpanId {
     let mixed = splitmix64(
-        splitmix64(0x5350414E_u64 ^ u64::from(kind.tag())) ^ splitmix64(a) ^ b.rotate_left(17),
+        splitmix64(0x5350414E_u64 ^ u64::from(kind as u8)) ^ splitmix64(a) ^ b.rotate_left(17),
     );
     if mixed == 0 {
         1
@@ -367,6 +342,38 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+// Tags are list positions, so a variant added later goes at the end:
+// `AgentStateShipped` is declared among the agent events but keeps the
+// last tag, and trace files written before it existed still decode.
+marp_wire::wire_enum!(TraceEvent {
+    MsgSent { from, to, bytes },
+    MsgDelivered { from, to, bytes },
+    MsgDropped { from, to, reason },
+    NodeDown(node),
+    NodeUp(node),
+    RequestArrived { node, request, write },
+    ReadServed { node, request, version },
+    AgentDispatched { agent, home, batch },
+    AgentMigrated { agent, from, to, hops },
+    AgentMigrateFailed { agent, from, to },
+    ReplicaDeclaredUnavailable { agent, node },
+    LockRequested { agent, node },
+    LockGranted { agent, node, visits, via_tie },
+    UpdateSent { agent, version },
+    UpdateAcked { agent, node, positive },
+    WinAborted { agent },
+    CommitApplied { node, version, agent, key, request },
+    AgentDisposed { agent, born },
+    UpdateCompleted { request, home, arrived, dispatched, locked, visits },
+    SpanStart { id, parent, kind, a, b },
+    SpanEnd { id, kind },
+    SpanLink { from, to },
+    Custom { kind, a, b },
+    AgentStateShipped { agent, bytes },
+});
+
+marp_wire::wire_struct!(TraceRecord { at, node, event });
+
 /// Which events the log retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
@@ -524,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn span_kind_tags_roundtrip() {
+    fn span_kind_discriminants_are_wire_tags() {
         for kind in [
             SpanKind::Request,
             SpanKind::Dispatch,
@@ -534,10 +541,9 @@ mod tests {
             SpanKind::Commit,
             SpanKind::Read,
         ] {
-            assert_eq!(SpanKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(marp_wire::to_bytes(&kind).as_ref(), &[kind as u8]);
             assert!(!kind.name().is_empty());
         }
-        assert_eq!(SpanKind::from_tag(250), None);
     }
 
     #[test]

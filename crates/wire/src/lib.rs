@@ -28,6 +28,8 @@ pub use error::WireError;
 pub use varint::{get_ivarint, get_uvarint, ivarint_len, put_ivarint, put_uvarint, uvarint_len};
 
 use bytes::{Buf, Bytes, BytesMut};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// A type that can be encoded to and decoded from the wire format.
 ///
@@ -236,6 +238,38 @@ impl Wire for String {
     }
 }
 
+/// Labels such as trace-event kinds are `&'static str`. They encode
+/// exactly like a [`String`]; decoding interns the text.
+impl Wire for &'static str {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_uvarint(buf, self.len() as u64);
+        bytes::BufMut::put_slice(buf, self.as_bytes());
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(intern(String::decode(buf)?))
+    }
+    fn encoded_len(&self) -> usize {
+        uvarint_len(self.len() as u64) + self.len()
+    }
+}
+
+/// Hand out a `'static` reference to `label`, leaking one allocation per
+/// *distinct* label (labels are compile-time constants in practice, so
+/// the set is tiny).
+fn intern(label: String) -> &'static str {
+    static INTERNED: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
+    let mut map = INTERNED
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .expect("interner poisoned");
+    if let Some(&stored) = map.get(&label) {
+        return stored;
+    }
+    let leaked: &'static str = Box::leak(label.clone().into_boxed_str());
+    map.insert(label, leaked);
+    leaked
+}
+
 impl Wire for Bytes {
     fn encode(&self, buf: &mut BytesMut) {
         put_uvarint(buf, self.len() as u64);
@@ -410,9 +444,11 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
     })
 }
 
-/// Implement [`Wire`] for a struct by encoding its fields in declaration
+/// Implement [`Wire`] for a struct by encoding the listed fields in list
 /// order. The struct must be constructible with struct-literal syntax from
-/// the macro's call site.
+/// the macro's call site. Tuple structs list field indices
+/// (`SimTime { 0 }`); generic structs list their type parameters
+/// (`QuorumCall<T> { .. }`), each of which must then implement [`Wire`].
 ///
 /// ```
 /// use marp_wire::{wire_struct, Wire};
@@ -421,14 +457,22 @@ fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
 /// struct Point { x: u32, y: u32 }
 /// wire_struct!(Point { x, y });
 ///
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<T>(u8, T);
+/// wire_struct!(Tagged<T> { 0, 1 });
+///
 /// let p = Point { x: 3, y: 9 };
 /// let bytes = marp_wire::to_bytes(&p);
 /// assert_eq!(marp_wire::from_bytes::<Point>(&bytes).unwrap(), p);
+/// let t = Tagged(1, p);
+/// let bytes = marp_wire::to_bytes(&t);
+/// assert_eq!(bytes.as_ref(), &[1, 3, 9]);
+/// assert_eq!(marp_wire::from_bytes::<Tagged<Point>>(&bytes).unwrap(), t);
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
-    ($name:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::Wire for $name {
+    ($name:ident $(< $($param:ident),+ >)? { $($field:tt),* $(,)? }) => {
+        impl $(< $($param: $crate::Wire),+ >)? $crate::Wire for $name $(< $($param),+ >)? {
             fn encode(&self, buf: &mut ::bytes::BytesMut) {
                 $( $crate::Wire::encode(&self.$field, buf); )*
             }
@@ -581,6 +625,17 @@ mod tests {
         roundtrip(set);
         let deque: VecDeque<u8> = [9, 8, 7].into_iter().collect();
         roundtrip(deque);
+    }
+
+    #[test]
+    fn static_str_encodes_like_string_and_interns() {
+        let label: &'static str = "some-label";
+        let bytes = to_bytes(&label);
+        assert_eq!(bytes, to_bytes(&String::from(label)));
+        let a: &'static str = from_bytes(&bytes).unwrap();
+        let b: &'static str = from_bytes(&bytes).unwrap();
+        assert_eq!(a, label);
+        assert!(std::ptr::eq(a, b), "one allocation per distinct label");
     }
 
     #[test]
