@@ -20,7 +20,7 @@ use crate::msg::{AgentReply, CommitMsg, NodeMsg, UpdateMsg};
 use bytes::Bytes;
 use marp_agent::{Action, AgentBehavior, AgentEnv, AgentId, Itinerary};
 use marp_quorum::{QuorumCall, RetryPolicy, TimerMux, Verdict};
-use marp_replica::{CommitRecord, UpdatedList, WriteRequest};
+use marp_replica::{CommitRecord, LlSnapshot, UpdatedList, WriteRequest};
 use marp_sim::{span_id, NodeId, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -435,18 +435,20 @@ impl UpdateAgent {
         self.enter_parked(env);
     }
 
-    fn absorb_ll_info(
+    /// Absorb one server's lock-state report — read in place on
+    /// arrival, or received as `LlInfo` — into the Updated-Agents List
+    /// and the Locking Table.
+    fn learn(
         &mut self,
         node: NodeId,
-        snapshot: marp_replica::LlSnapshot,
-        board: LockingTable,
-        ul: UpdatedList,
+        snapshot: LlSnapshot,
+        board: Option<&LockingTable>,
+        ul: &UpdatedList,
     ) {
-        self.repoll_round = 0;
-        self.ual.merge(&ul);
+        self.ual.merge(ul);
         self.lt.merge(node, snapshot);
-        if self.gossip {
-            self.lt.merge_table(&board);
+        if let Some(board) = board {
+            self.lt.merge_table(board);
         }
     }
 }
@@ -474,7 +476,9 @@ impl AgentBehavior for UpdateAgent {
         if !self.visited.contains(&here) {
             self.visited.push(here);
         }
-        let info = host.visit(self.id, self.key(), env.now(), here);
+        let key = self.key();
+        host.visit(self.id, key, env.now(), here);
+        let snapshot = host.core.ll.snapshot(key, env.now());
         env.trace(TraceEvent::LockRequested {
             agent: self.id.key(),
             node: here,
@@ -483,7 +487,7 @@ impl AgentBehavior for UpdateAgent {
         // its key's Locking List: the keyspace tests use the *absence*
         // of this event to prove that disjoint-key agents never block
         // each other.
-        if let Some(rank) = info.snapshot.queue.iter().position(|&a| a == self.id) {
+        if let Some(rank) = snapshot.queue.iter().position(|&a| a == self.id) {
             if rank > 0 {
                 env.trace(TraceEvent::Custom {
                     kind: "lock-queued-behind",
@@ -492,7 +496,9 @@ impl AgentBehavior for UpdateAgent {
                 });
             }
         }
-        self.ual.merge(&info.ul);
+        // Being at the same site as the server, the agent reads its
+        // state in place instead of by message.
+        self.learn(here, snapshot, host.board.contents(key), &host.core.ul);
         // A clone left over from a duplicated migration discovers here
         // that "it" already obtained the lock and updated (it is in the
         // Updated List): its work is done, it must not compete again.
@@ -504,11 +510,7 @@ impl AgentBehavior for UpdateAgent {
             });
             return Action::Dispose;
         }
-        self.lt.merge(here, info.snapshot);
-        if self.gossip {
-            self.lt.merge_table(&info.board);
-            host.deposit_gossip(self.key(), &self.lt);
-        }
+        host.deposit_gossip(key, &self.lt);
         self.evaluate(host, env)
     }
 
@@ -561,7 +563,8 @@ impl AgentBehavior for UpdateAgent {
                 board,
                 ul,
             } => {
-                self.absorb_ll_info(node, snapshot, board, ul);
+                self.repoll_round = 0;
+                self.learn(node, snapshot, Some(&board), &ul);
                 if matches!(self.phase, Phase::Parked) {
                     self.evaluate(host, env)
                 } else {
@@ -642,7 +645,7 @@ impl AgentBehavior for UpdateAgent {
             return;
         }
         // The destination re-supplies its own LL snapshot on arrival
-        // (`visit` → `merge`), and LL versions are monotonic, so the
+        // (`on_arrive` → `learn`), and LL versions are monotonic, so the
         // entry for `dest` never needs to travel.
         self.lt.drop_server(dest);
         // Anything below the destination's advertised knowledge horizon
@@ -658,7 +661,7 @@ impl AgentBehavior for UpdateAgent {
         }
         // The UAL is a cache of the servers' Updated Lists, which the
         // COMMIT broadcast feeds directly — the destination re-supplies
-        // its own copy on arrival (`visit`). An entry no carried
+        // its own copy on arrival (`learn`). An entry no carried
         // snapshot still names cannot influence any decision made from
         // this table, so it is dead weight on the wire; shedding it is
         // the agent-side analogue of the servers' lease-bounded UL
@@ -740,8 +743,8 @@ mod tests {
         )
     }
 
-    fn snap(version: u64, queue: Vec<AgentId>) -> marp_replica::LlSnapshot {
-        marp_replica::LlSnapshot {
+    fn snap(version: u64, queue: Vec<AgentId>) -> LlSnapshot {
+        LlSnapshot {
             version,
             taken_at: SimTime::from_millis(version),
             queue,

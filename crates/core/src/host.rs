@@ -8,30 +8,17 @@ use crate::lt::LockingTable;
 use crate::msg::{AgentReply, UpdateMsg};
 use marp_agent::AgentId;
 use marp_net::RoutingTable;
-use marp_replica::{LlSnapshot, ServerCore, UpdatedList};
+use marp_replica::ServerCore;
 use marp_sim::{Context, NodeId, SimTime, TraceEvent};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// What a visiting agent reads from the local server in one interaction
-/// (the in-situ equivalent of a round of messages — the mobile-agent
-/// advantage the paper builds on).
-#[derive(Debug, Clone)]
-pub struct VisitInfo {
-    /// The server's LL right after the agent's lock request was
-    /// appended.
-    pub snapshot: LlSnapshot,
-    /// The gossip board contents (empty table when gossip is disabled).
-    pub board: LockingTable,
-    /// The server's Updated List.
-    pub ul: UpdatedList,
-}
 
 /// The MARP-specific state of one replica server.
 pub struct MarpServerState {
     /// Protocol-independent server substrate.
     pub core: ServerCore,
-    /// Information-sharing blackboard (§3.3).
+    /// Information-sharing blackboard (§3.3). Only written while gossip
+    /// is enabled, so with gossip off every read sees an empty table.
     pub board: GossipBoard,
     /// Agent-transfer cost estimates (§3.2).
     pub routing: RoutingTable,
@@ -78,10 +65,10 @@ impl MarpServerState {
     /// migrations for `key` so senders can delta-encode agent state
     /// shipped here.
     pub fn horizon(&self, key: u64) -> BTreeMap<NodeId, u64> {
-        let mut horizon = match self.board.contents(key) {
-            Some(table) if self.gossip_enabled => table.horizon(),
-            _ => BTreeMap::new(),
-        };
+        let mut horizon = self
+            .board
+            .contents(key)
+            .map_or_else(BTreeMap::new, LockingTable::horizon);
         let own = self.core.ll.version(key);
         horizon
             .entry(self.core.me())
@@ -101,25 +88,20 @@ impl MarpServerState {
         self.peer_horizons.get(&(peer, key))
     }
 
-    /// Whether gossip boards are enabled (E10 ablation).
-    pub fn gossip_enabled(&self) -> bool {
-        self.gossip_enabled
-    }
-
     /// Current reservation holder for `key`, if any (for inspection).
     pub fn reserved_for(&self, key: u64) -> Option<AgentId> {
         self.reserved.get(&key).map(|&(agent, _)| agent)
     }
 
-    /// A visiting agent requests the lock on its object key and reads
-    /// the local coordination state (paper Algorithm 2, "upon arrival
-    /// of a mobile agent").
-    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) -> VisitInfo {
+    /// A visiting agent requests the lock on its object key (paper
+    /// Algorithm 2, "upon arrival of a mobile agent"). The agent then
+    /// reads the local coordination state in place.
+    pub fn visit(&mut self, agent: AgentId, key: u64, now: SimTime, here: NodeId) {
         self.core.ll.purge_expired(now);
         // A finished agent (listed in the UL) must never re-enter the
         // queue: a stale clone from a duplicated migration would
         // otherwise enqueue a permanently unclaimable entry. The clone
-        // recognizes itself in the returned UL and disposes.
+        // recognizes itself in the UL and disposes.
         if !self.core.ul.contains(agent) {
             self.core
                 .ll
@@ -128,15 +110,6 @@ impl MarpServerState {
                 // Seeded bug (checker self-test): jump the FIFO queue.
                 self.core.ll.list_mut(key).chaos_promote_to_front(agent);
             }
-        }
-        VisitInfo {
-            snapshot: self.core.ll.snapshot(key, now),
-            board: if self.gossip_enabled {
-                self.board.contents(key).cloned().unwrap_or_default()
-            } else {
-                LockingTable::new()
-            },
-            ul: self.core.ul.clone(),
         }
     }
 
@@ -323,16 +296,13 @@ impl MarpServerState {
         self.ll_info(key, now)
     }
 
-    /// Build an `LlInfo` reply about `key` from the current state.
+    /// The lock-state report about `key`: this server's LL snapshot,
+    /// board and Updated List, as sent to agents elsewhere.
     pub fn ll_info(&self, key: u64, now: SimTime) -> AgentReply {
         AgentReply::LlInfo {
             node: self.core.me(),
             snapshot: self.core.ll.snapshot(key, now),
-            board: if self.gossip_enabled {
-                self.board.contents(key).cloned().unwrap_or_default()
-            } else {
-                LockingTable::new()
-            },
+            board: self.board.contents(key).cloned().unwrap_or_default(),
             ul: self.core.ul.clone(),
         }
     }
@@ -369,7 +339,7 @@ mod tests {
     use crate::msg::wrap_sync;
     use bytes::Bytes;
     use marp_net::Topology;
-    use marp_replica::{ServerConfig, WriteRequest};
+    use marp_replica::{LlSnapshot, ServerConfig, WriteRequest};
     use marp_sim::TimerId;
 
     struct TestCtx {
@@ -440,14 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn visit_appends_and_returns_snapshot() {
+    fn visit_appends_to_the_locking_list() {
         let mut state = state();
         let a = aid(1, 1);
-        let info = state.visit(a, 1, SimTime::from_millis(1), 1);
-        assert_eq!(info.snapshot.queue, vec![a]);
-        assert!(info.ul.is_empty());
+        let now = SimTime::from_millis(1);
+        state.visit(a, 1, now, 1);
+        assert_eq!(state.core.ll.snapshot(1, now).queue, vec![a]);
+        assert!(state.core.ul.is_empty());
         // Gossip on by default: board empty until someone deposits.
-        assert_eq!(info.board.known_servers(), 0);
+        assert_eq!(state.board.known_servers(1), 0);
     }
 
     #[test]
@@ -607,10 +578,10 @@ mod tests {
         state.handle_commit(a, vec![record], &mut ctx);
         assert!(state.core.ul.contains(a));
         // ...and a stale clone of a tries to queue again: refused.
-        let info = state.visit(a, 1, SimTime::from_millis(6), 2);
+        state.visit(a, 1, SimTime::from_millis(6), 2);
         assert!(!state.core.ll.contains(1, a));
-        // The clone can see its own id in the returned UL and dispose.
-        assert!(info.ul.contains(a));
+        // The clone can see its own id in the UL it reads and dispose.
+        assert!(state.core.ul.contains(a));
     }
 
     #[test]
@@ -690,8 +661,28 @@ mod tests {
         );
         state.deposit_gossip(1, &lt);
         assert_eq!(state.board.known_servers(1), 0);
-        let info = state.visit(aid(2, 2), 1, SimTime::from_millis(2), 2);
-        assert_eq!(info.board.known_servers(), 0);
+        // A commit does not post the server's own LL either, so a
+        // visitor and an LlInfo report both see an empty table.
+        let b = aid(2, 2);
+        let mut ctx = TestCtx {
+            now: SimTime::from_millis(3),
+            traced: vec![],
+        };
+        state.visit(b, 1, SimTime::from_millis(2), 2);
+        let record = marp_replica::CommitRecord {
+            version: 1,
+            key: 1,
+            value: 7,
+            agent: b.key(),
+            request: 1,
+            committed_at: ctx.now,
+        };
+        state.handle_commit(b, vec![record], &mut ctx);
+        assert!(state.board.contents(1).is_none());
+        match state.ll_info(1, ctx.now) {
+            AgentReply::LlInfo { board, .. } => assert_eq!(board.known_servers(), 0),
+            _ => panic!("expected LlInfo"),
+        }
     }
 
     #[test]

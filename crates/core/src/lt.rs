@@ -267,17 +267,6 @@ pub fn decide(
     Priority::NotYet
 }
 
-/// Full priority ranking (most tops first, then agent id) — the paper's
-/// extension where agents determine "not only the first mobile agent who
-/// will obtain the lock next, but also the second agent, the third
-/// agent, etc."
-pub fn ranking(lt: &LockingTable, finished: &UpdatedList) -> Vec<(AgentId, usize)> {
-    let counts = lt.top_counts(finished);
-    let mut ranked: Vec<(AgentId, usize)> = counts.into_iter().collect();
-    ranked.sort_by_key(|&(agent, tops)| (std::cmp::Reverse(tops), agent));
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,20 +540,6 @@ mod tests {
         assert_eq!(lt.presence_count(a), 2);
         assert_eq!(lt.presence_count(b), 2);
         assert_eq!(lt.presence_count(aid(9)), 0);
-    }
-
-    #[test]
-    fn ranking_orders_by_tops_then_id() {
-        let a = aid(1);
-        let b = aid(2);
-        let c = aid(3);
-        let lt = table(&[&[b], &[b], &[a], &[c], &[a]]);
-        let finished = UpdatedList::new();
-        let ranked = ranking(&lt, &finished);
-        // a and b both top 2 servers; a is the smaller (older) id.
-        assert_eq!(ranked[0], (a, 2));
-        assert_eq!(ranked[1], (b, 2));
-        assert_eq!(ranked[2], (c, 1));
     }
 
     #[test]

@@ -142,8 +142,10 @@ pub enum AgentReply {
         /// dispose — its work belongs to another incarnation.
         fenced: bool,
     },
-    /// Fresh locking information (reply to `LlQuery`, a visit, or a
-    /// pushed change notification).
+    /// A server's lock-state report, built by
+    /// [`MarpServerState::ll_info`](crate::MarpServerState::ll_info):
+    /// the reply to an `LlQuery`, or a change notification pushed to
+    /// queued agents on COMMIT.
     LlInfo {
         /// The reporting server.
         node: NodeId,

@@ -5,7 +5,7 @@
 use crate::agent::UpdateAgent;
 use crate::config::MarpConfig;
 use crate::host::MarpServerState;
-use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, AgentReply, NodeMsg};
+use crate::msg::{wrap_agent_envelope, wrap_read_agent_envelope, wrap_sync, NodeMsg};
 use crate::read_agent::ReadAgent;
 use bytes::Bytes;
 use marp_agent::{AgentEnvelope, AgentId, AgentRuntime};
@@ -29,13 +29,13 @@ const KIND_REGEN: u8 = 7;
 /// bumped incarnation.
 #[derive(Debug, Clone)]
 struct OutstandingBatch {
+    /// The agent currently carrying the batch.
+    id: AgentId,
     requests: Vec<WriteRequest>,
     /// Incarnation the current agent for this batch was launched with.
     incarnation: u32,
     /// How many agents (original + regenerations) this batch has had.
     attempts: u32,
-    /// Registry sequence number — the epoch of the regeneration timer.
-    seq: u64,
 }
 
 /// One MARP replica server node.
@@ -47,12 +47,11 @@ pub struct MarpNode {
     batcher: RequestBatcher,
     agent_seq: u32,
     read_seq: u32,
-    outstanding: BTreeMap<AgentId, OutstandingBatch>,
-    /// Regeneration-deadline timers, one per registry entry.
-    regen_mux: TimerMux,
+    /// The dispatch registry, keyed by sequence number — the epoch of
+    /// the entry's regeneration deadline. A deadline whose entry is
+    /// gone is stale.
+    outstanding: BTreeMap<u64, OutstandingBatch>,
     regen_seq: u64,
-    /// Timer epoch → registry key, for deadline fires.
-    regen_agents: BTreeMap<u64, AgentId>,
 }
 
 impl MarpNode {
@@ -74,9 +73,7 @@ impl MarpNode {
             // same instant.
             read_seq: 1 << 31,
             outstanding: BTreeMap::new(),
-            regen_mux: TimerMux::new(),
             regen_seq: 0,
-            regen_agents: BTreeMap::new(),
             cfg,
         }
     }
@@ -190,20 +187,19 @@ impl MarpNode {
         let seq = self.regen_seq;
         self.regen_seq += 1;
         self.outstanding.insert(
-            id,
+            seq,
             OutstandingBatch {
+                id,
                 requests: batch.clone(),
                 incarnation,
                 attempts,
-                seq,
             },
         );
-        self.regen_agents.insert(seq, id);
         // The deadline backs off linearly with the attempt count so a
         // batch stuck in a deep contention backlog is not regenerated
         // at full cadence forever.
         let deadline = RetryPolicy::linear(self.cfg.redispatch_timeout, 4).next_delay(attempts);
-        ctx.set_timer(deadline, self.regen_mux.arm(KIND_REGEN, seq));
+        ctx.set_timer(deadline, TimerMux::tag(KIND_REGEN, seq));
         let agent = UpdateAgent::new(id, &self.cfg, batch).with_incarnation(incarnation);
         self.runtime.spawn(agent, &mut self.state, ctx);
     }
@@ -212,10 +208,7 @@ impl MarpNode {
     /// uncommitted requests, its agent is presumed lost — launch a
     /// successor carrying the remainder under a bumped incarnation.
     fn regen_deadline(&mut self, seq: u64, ctx: &mut dyn Context) {
-        let Some(id) = self.regen_agents.remove(&seq) else {
-            return;
-        };
-        let Some(batch) = self.outstanding.remove(&id) else {
+        let Some(batch) = self.outstanding.remove(&seq) else {
             return;
         };
         let remaining: Vec<WriteRequest> = batch
@@ -231,24 +224,24 @@ impl MarpNode {
             // silent.
             ctx.trace(TraceEvent::Custom {
                 kind: "regeneration-disabled",
-                a: id.key(),
+                a: batch.id.key(),
                 b: remaining.len() as u64,
             });
             return;
         }
         ctx.trace(TraceEvent::Custom {
             kind: "agent-regenerated",
-            a: id.key(),
+            a: batch.id.key(),
             b: remaining.len() as u64,
         });
         self.launch(remaining, batch.incarnation + 1, batch.attempts + 1, ctx);
     }
 
-    fn send_to_agent(&self, at: NodeId, agent: AgentId, reply: &AgentReply, ctx: &mut dyn Context) {
-        let envelope = AgentEnvelope::ToAgent {
-            agent,
-            payload: marp_wire::to_bytes(reply),
-        };
+    /// Send an encoded [`AgentReply`](crate::AgentReply) to `agent`
+    /// hosted at `at`. A fan-out encodes its reply once and passes the
+    /// same payload to every recipient.
+    fn send_to_agent(at: NodeId, agent: AgentId, payload: Bytes, ctx: &mut dyn Context) {
+        let envelope = AgentEnvelope::ToAgent { agent, payload };
         ctx.send(at, wrap_agent_envelope(envelope));
     }
 
@@ -282,8 +275,8 @@ impl MarpNode {
                     .handle_envelope(from, envelope, &mut self.state, ctx);
             }
             NodeMsg::Update(update) => {
-                let ack = self.state.handle_update(&update, ctx);
-                self.send_to_agent(update.reply_to, update.agent, &ack, ctx);
+                let ack = marp_wire::to_bytes(&self.state.handle_update(&update, ctx));
+                Self::send_to_agent(update.reply_to, update.agent, ack, ctx);
             }
             NodeMsg::Commit(commit) => {
                 let key = commit.records.first().map_or(0, |r| r.key);
@@ -291,9 +284,9 @@ impl MarpNode {
                 // Push the LL change to the remaining queued agents so
                 // parked agents learn promptly that the winner is gone.
                 if !notify.is_empty() {
-                    let info = self.state.ll_info(key, ctx.now());
+                    let info = marp_wire::to_bytes(&self.state.ll_info(key, ctx.now()));
                     for (host, agent) in notify {
-                        self.send_to_agent(host, agent, &info, ctx);
+                        Self::send_to_agent(host, agent, info.clone(), ctx);
                     }
                 }
             }
@@ -301,7 +294,7 @@ impl MarpNode {
             NodeMsg::LlQuery { agent, reply_to } => {
                 // Legacy query form: always the key-0 locking list.
                 let info = self.state.handle_ll_query(agent, 0, reply_to, ctx.now());
-                self.send_to_agent(reply_to, agent, &info, ctx);
+                Self::send_to_agent(reply_to, agent, marp_wire::to_bytes(&info), ctx);
             }
             NodeMsg::LlQueryKeyed {
                 agent,
@@ -309,7 +302,7 @@ impl MarpNode {
                 reply_to,
             } => {
                 let info = self.state.handle_ll_query(agent, key, reply_to, ctx.now());
-                self.send_to_agent(reply_to, agent, &info, ctx);
+                Self::send_to_agent(reply_to, agent, marp_wire::to_bytes(&info), ctx);
             }
             NodeMsg::Sync(sync) => self.state.core.handle_sync(from, sync, ctx),
         }
@@ -347,26 +340,12 @@ impl MarpNode {
             self.state.core.pull_if_behind(peer, ctx);
         }
         // Retire registry entries whose batch fully committed; their
-        // regeneration deadlines are disarmed. (A deadline that fires
-        // before this sweep re-checks the store itself, so the sweep is
-        // an optimization, not a correctness requirement.)
-        let done: Vec<AgentId> = self
-            .outstanding
-            .iter()
-            .filter(|(_, batch)| {
-                batch
-                    .requests
-                    .iter()
-                    .all(|r| self.state.core.store.request_applied(r.id))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in done {
-            if let Some(batch) = self.outstanding.remove(&id) {
-                self.regen_mux.disarm(KIND_REGEN, batch.seq);
-                self.regen_agents.remove(&batch.seq);
-            }
-        }
+        // regeneration deadlines go stale. (A deadline that fires before
+        // this sweep re-checks the store itself, so the sweep is an
+        // optimization, not a correctness requirement.)
+        let store = &self.state.core.store;
+        self.outstanding
+            .retain(|_, batch| batch.requests.iter().any(|r| !store.request_applied(r.id)));
     }
 }
 
@@ -393,7 +372,7 @@ impl Process for MarpNode {
         if self.read_runtime.handle_timer(timer, &mut self.state, ctx) {
             return;
         }
-        if let Some((KIND_REGEN, seq)) = self.regen_mux.fired(tag) {
+        if let (KIND_REGEN, seq) = TimerMux::split(tag) {
             self.regen_deadline(seq, ctx);
             return;
         }
@@ -421,8 +400,6 @@ impl Process for MarpNode {
         // epoch), and in-flight client requests are re-driven by the
         // clients' own retries.
         self.outstanding.clear();
-        self.regen_mux.clear();
-        self.regen_agents.clear();
         self.arm_node_timers(ctx);
         let peer = (self.me() + 1) % self.cfg.n_servers as NodeId;
         if peer != self.me() {

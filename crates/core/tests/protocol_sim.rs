@@ -386,7 +386,16 @@ fn gossip_off_still_converges() {
             .collect();
         add_client(&mut sim, server, script);
     }
-    sim.run_until(SimTime::from_secs(20));
+    // With gossip off nothing writes a board, so every board read (on
+    // arrival, in an LlInfo report, in a migration-ack horizon) sees an
+    // empty table: check that at every 20 ms of the run.
+    for slice in 1..=1000 {
+        sim.run_until(SimTime::from_millis(20 * slice));
+        for server in 0..n as NodeId {
+            let board = &sim.process::<MarpNode>(server).unwrap().state().board;
+            assert_eq!(board.keys().count(), 0, "server {server} wrote its board");
+        }
+    }
     assert_eq!(total_commits(&commit_log_of(&sim, 0)), 6);
     assert_consistent(&sim, n);
 }

@@ -1,78 +1,5 @@
 //! Streaming and exact sample statistics.
 
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merge another accumulator (parallel sweeps combine shards).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        *self = Welford {
-            count: total,
-            mean,
-            m2,
-        };
-    }
-}
-
 /// An exact sample set: stores every observation, answers quantiles by
 /// sorting on demand. Right-sized for simulation runs (≤ millions of
 /// samples); the log-bucket histogram covers bigger streams.
@@ -242,49 +169,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &data {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        // Unbiased variance of this classic data set is 32/7.
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        let mut whole = Welford::new();
-        for i in 0..50 {
-            let x = (i as f64).sin() * 10.0;
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-            whole.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_empty_edge_cases() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        let mut a = Welford::new();
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), 0);
-    }
 
     #[test]
     fn samples_quantiles() {

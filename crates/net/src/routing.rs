@@ -4,13 +4,11 @@
 //! transferring a mobile agent from the local server to another server in
 //! the network. This information […] can be used by a visiting mobile
 //! agent to determine the replicated server to visit next." A
-//! [`RoutingTable`] holds those cost estimates; agents sort their
-//! Un-visited Servers List by them, and servers refine the estimates from
-//! observed migration times with an exponentially weighted moving
-//! average.
+//! [`RoutingTable`] holds those costs, taken from the topology; agents
+//! pick the next server of their Un-visited Servers List by them.
 
 use crate::topology::Topology;
-use marp_sim::{NodeId, SimRng};
+use marp_sim::NodeId;
 
 /// A host's estimate of the agent-transfer cost (in milliseconds) to
 /// every node in the system.
@@ -27,19 +25,6 @@ impl RoutingTable {
             .map(|to| topo.latency_nanos(me, to) as f64 / 1e6)
             .collect();
         RoutingTable { me, cost_ms }
-    }
-
-    /// Topology costs perturbed by multiplicative noise in
-    /// `[1 − noise, 1 + noise]`, modelling stale or imprecise estimates.
-    pub fn with_noise(me: NodeId, topo: &Topology, noise: f64, rng: &mut SimRng) -> Self {
-        let mut table = Self::from_topology(me, topo);
-        for (to, cost) in table.cost_ms.iter_mut().enumerate() {
-            if to != usize::from(me) {
-                let factor = 1.0 - noise + 2.0 * noise * rng.f64();
-                *cost *= factor.max(0.0);
-            }
-        }
-        table
     }
 
     /// Node this table belongs to.
@@ -60,24 +45,6 @@ impl RoutingTable {
     /// True when the table covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.cost_ms.is_empty()
-    }
-
-    /// Fold a fresh measurement into the estimate for `to` with EWMA
-    /// weight `alpha` (0 = ignore, 1 = replace).
-    pub fn record_measurement(&mut self, to: NodeId, observed_ms: f64, alpha: f64) {
-        let alpha = alpha.clamp(0.0, 1.0);
-        let slot = &mut self.cost_ms[usize::from(to)];
-        *slot = (1.0 - alpha) * *slot + alpha * observed_ms;
-    }
-
-    /// Stable-sort candidate nodes cheapest-first according to this
-    /// table (ties keep input order, so results are deterministic).
-    pub fn sort_cheapest_first(&self, nodes: &mut [NodeId]) {
-        nodes.sort_by(|&a, &b| {
-            self.cost(a)
-                .partial_cmp(&self.cost(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
     }
 
     /// The cheapest node among `candidates`, or `None` if empty.
@@ -113,53 +80,17 @@ mod tests {
     }
 
     #[test]
-    fn sorts_cheapest_first() {
+    fn cheapest_picks_the_lowest_cost() {
         let table = RoutingTable::from_topology(0, &heterogeneous_topo());
-        let mut nodes = vec![1u16, 2, 3];
-        table.sort_cheapest_first(&mut nodes);
-        assert_eq!(nodes, vec![3, 1, 2]);
+        assert_eq!(table.cheapest(&[1, 2, 3]), Some(3));
         assert_eq!(table.cheapest(&[2, 1]), Some(1));
         assert_eq!(table.cheapest(&[]), None);
-    }
-
-    #[test]
-    fn ewma_moves_toward_measurements() {
-        let mut table = RoutingTable::from_topology(0, &heterogeneous_topo());
-        table.record_measurement(1, 25.0, 0.5);
-        assert_eq!(table.cost(1), 15.0);
-        table.record_measurement(1, 25.0, 1.0);
-        assert_eq!(table.cost(1), 25.0);
-        table.record_measurement(1, 100.0, 0.0);
-        assert_eq!(table.cost(1), 25.0);
-    }
-
-    #[test]
-    fn noise_stays_within_band_and_is_deterministic() {
-        let topo = heterogeneous_topo();
-        let mut rng = SimRng::from_seed(5);
-        let noisy = RoutingTable::with_noise(0, &topo, 0.2, &mut rng);
-        for to in 1..4u16 {
-            let truth = RoutingTable::from_topology(0, &topo).cost(to);
-            assert!(
-                (noisy.cost(to) - truth).abs() <= truth * 0.2 + 1e-9,
-                "cost {} vs truth {}",
-                noisy.cost(to),
-                truth
-            );
-        }
-        let mut rng2 = SimRng::from_seed(5);
-        let again = RoutingTable::with_noise(0, &topo, 0.2, &mut rng2);
-        for to in 0..4u16 {
-            assert_eq!(noisy.cost(to), again.cost(to));
-        }
     }
 
     #[test]
     fn tie_costs_keep_input_order() {
         let topo = Topology::uniform_lan(4, Duration::from_millis(10));
         let table = RoutingTable::from_topology(0, &topo);
-        let mut nodes = vec![3u16, 1, 2];
-        table.sort_cheapest_first(&mut nodes);
-        assert_eq!(nodes, vec![3, 1, 2]);
+        assert_eq!(table.cheapest(&[3, 1, 2]), Some(3));
     }
 }

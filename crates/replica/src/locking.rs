@@ -446,11 +446,6 @@ impl UpdatedList {
         self.agents.retain(|&(a, _)| keep(a));
     }
 
-    /// All recorded agents in completion order (locally observed).
-    pub fn agents(&self) -> impl Iterator<Item = AgentId> + '_ {
-        self.agents.iter().map(|&(a, _)| a)
-    }
-
     /// Number of finished agents recorded.
     pub fn len(&self) -> usize {
         self.agents.len()
